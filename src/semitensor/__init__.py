@@ -63,6 +63,5 @@ from .metric import (
     predicted_gap,
     tail_bound,
 )
-from .kernels import BenchConfig, bench, ltimes_fast
 
 __all__ = [name for name in dir() if not name.startswith("_")]

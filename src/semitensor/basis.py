@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrix import RATIONAL, Matrix, e_matrix, identity, kron
+from .matrix import RATIONAL, Matrix, e_matrix, kron
 from .quotient import MatrixClass, canonicalize, zero_class
+from .stp import _lift, _sum_lifts
 
 
 @dataclass(frozen=True)
@@ -210,29 +211,26 @@ def reconstruct(c: Coordinates) -> MatrixClass:
     """Class summing coeff * unit over all terms; empty coordinates give zero.
 
     Equivalent to folding class additions over the terms, but computed in
-    one pass: every unit has a single nonzero entry, so its lift to the
-    common size lands on an explicit diagonal run of positions.
+    one pass: the units of each size i are gathered into one matrix, and
+    the matrices are lifted to their common size and summed.
     """
-    p, q = c.mu.numerator, c.mu.denominator
     if not c.terms:
         return zero_class(c.mu)
-    R = 1
-    for e in c.terms:
-        R = lcm(R, p * e.i)
-    cols = R * q // p
-    acc = [Fraction(0)] * (R * cols)
+    p, q = c.mu.numerator, c.mu.denominator
+    by_size: dict[int, list[Fraction]] = {}
     for e, coeff in c.terms.items():
-        s = R // (p * e.i)
-        row0 = ((e.k - 1) * e.i + e.j1 - 1) * s
-        col0 = ((e.l - 1) * e.i + e.j2 - 1) * s
-        for d in range(s):
-            acc[(row0 + d) * cols + (col0 + d)] += coeff
-    return canonicalize(Matrix(R, cols, tuple(acc), RATIONAL))
+        data = by_size.setdefault(e.i, [Fraction(0)] * (p * q * e.i * e.i))
+        data[((e.k - 1) * e.i + e.j1 - 1) * q * e.i + (e.l - 1) * e.i + e.j2 - 1] = coeff
+    units = [Matrix(p * i, q * i, tuple(data), RATIONAL) for i, data in by_size.items()]
+    return canonicalize(_sum_lifts(units))
 
 
-def _lift_vector(x: MatrixClass, R: int) -> tuple:
-    lifted = kron(x.rep, identity(R // x.rep.rows, RATIONAL))
-    return lifted.data
+def _lift_vector(x: MatrixClass, R: int) -> list[Fraction]:
+    cols = R * x.rep.cols // x.rep.rows
+    vec = [Fraction(0)] * (R * cols)
+    for r, c, v in _lift(x.rep, R // x.rep.rows):
+        vec[r * cols + c] = v
+    return vec
 
 
 def _row_echelon(rows: list[list[Fraction]]) -> int:

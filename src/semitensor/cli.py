@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -17,7 +18,6 @@ from pathlib import Path
 
 from . import io as sio
 from .basis import decompose_class, enumerate_basis, reconstruct
-from .kernels import BenchConfig, bench
 from .matrix import FLOAT64, RATIONAL, DEFAULT_RTOL, Matrix, from_rows
 from .metric import (
     CauchyConfig,
@@ -59,13 +59,18 @@ def _load_matrix(arg: str, scalar: str) -> Matrix:
             rows = json.loads(arg)
             if rows and not isinstance(rows[0], list):
                 rows = [rows]
-            return from_rows(rows, scalar)
-        text = Path(arg).read_text()
-        if text.lstrip().startswith("{"):
-            return sio.matrix_from_dict(sio.load_json(text))
-        return sio.matrix_from_csv(text, scalar)
+            A = from_rows(rows, scalar)
+        else:
+            text = Path(arg).read_text()
+            if text.lstrip().startswith("{"):
+                A = sio.matrix_from_dict(sio.load_json(text))
+            else:
+                A = sio.matrix_from_csv(text, scalar)
     except (OSError, ValueError, TypeError, ZeroDivisionError, json.JSONDecodeError) as exc:
         raise _ParseFailure(f"cannot read matrix from {arg!r}: {exc}") from exc
+    if A.scalar == FLOAT64 and not all(math.isfinite(v) for v in A.data):
+        raise _ParseFailure(f"matrix from {arg!r} has a NaN or infinite entry")
+    return A
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -145,12 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     ca.add_argument("--a1", required=True, help="seed matrix (inline array or file), all nonzero")
     ca.add_argument("--nmax", type=int, default=6, help="sequence length (<= 9)")
 
-    be = sub.add_parser("bench", help="time the fast product kernel against the reference")
-    be.add_argument("--sizes", default="4,4,9,9;8,8,9,9;8,8,15,15",
-                    help="semicolon-separated m,n,p,q shape quadruples")
-    be.add_argument("--reps", type=int, default=5)
-    be.add_argument("--seed", type=int, default=0)
-
     bl = sub.add_parser("basis-list", help="enumerate basis elements up to an index bound")
     bl.add_argument("--mu", required=True, help="space ratio p/q")
     bl.add_argument("--imax", type=int, required=True)
@@ -216,19 +215,6 @@ def _run(args) -> None:
                 f"nondecreasing={all(a <= b for a, b in zip(values, values[1:]))} "
                 f"{'ok' if ok else 'VIOLATED'}\n"
             )
-    elif args.verb == "bench":
-        try:
-            sizes = tuple(
-                tuple(int(x) for x in chunk.split(",")) for chunk in args.sizes.split(";")
-            )
-            cfg = BenchConfig(sizes, args.reps, args.seed)
-        except ValueError as exc:
-            raise _ParseFailure(f"bad --sizes: {exc}") from exc
-        report = bench(cfg)
-        _emit(sio.dump_json({"sizes": [list(s) for s in cfg.sizes],
-                             "repetitions": cfg.repetitions,
-                             "seed": cfg.seed,
-                             "results": report}), args.out)
     elif args.verb == "basis-list":
         try:
             mu = Fraction(args.mu)

@@ -136,7 +136,9 @@ def gap_reports_to_csv(reports: list[GapReport]) -> str:
 
 
 def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """Strict JSON: a NaN or infinite float raises ValueError instead of
+    printing the non-standard ``NaN``/``Infinity`` tokens."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def load_json(text: str) -> dict:

@@ -21,10 +21,10 @@ ABS_FLOOR = 1e-15
 
 Scalar = Union[Fraction, float]
 
-# Running count of matrix entries ever constructed. Purely bench
-# instrumentation: lets the kernel harness show that the fast product
-# path allocates only its output while the naive path materializes
-# Kronecker lifts.
+# Running count of matrix entries ever constructed. Purely test
+# instrumentation: lets the tests show that the lift-free semi-tensor
+# operations allocate only their output while the Kronecker-built
+# references materialize the lifts.
 _alloc_elems = 0
 
 

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
-from .matrix import FLOAT64, Matrix, frobenius_inner, identity, kron
+from .matrix import FLOAT64, Matrix, _require_same_kind, identity, kron
 from .quotient import MatrixClass, canonicalize, class_sub
+from .stp import _lift
 
 # Largest experiment index: the next fill exp(-2^9) is still a normal
 # binary64, exp(-2^10) underflows to zero.
@@ -32,13 +34,33 @@ N_MAX_LIMIT = 9
 
 
 def inner(x: MatrixClass, y: MatrixClass):
-    """Pairing of two classes of one ratio, via lifts to a common size."""
+    """Pairing of two classes of one ratio, via lifts to a common size.
+
+    Only positions where both lifts are nonzero contribute, each product
+    entering the sum on its own (``math.fsum`` in float mode).
+    """
     if x.mu != y.mu:
         raise ValueError(f"classes live in different spaces: {x.mu} vs {y.mu}")
+    _require_same_kind(x.rep, y.rep)
     t = lcm(x.rep.rows, y.rep.rows)
-    a = kron(x.rep, identity(t // x.rep.rows, x.scalar))
-    b = kron(y.rep, identity(t // y.rep.rows, y.scalar))
-    return frobenius_inner(a, b)
+    products = _overlap_products(
+        _lift(x.rep, t // x.rep.rows), _lift(y.rep, t // y.rep.rows)
+    )
+    if x.scalar == FLOAT64:
+        return math.fsum(products)
+    return sum(products, Fraction(0))
+
+
+def _overlap_products(xs, ys):
+    # Both entry streams are in row-major order, so one merge pass finds
+    # the positions they share.
+    end = (math.inf, 0, None)
+    yr, yc, w = next(ys, end)
+    for r, c, v in xs:
+        while (yr, yc) < (r, c):
+            yr, yc, w = next(ys, end)
+        if yr == r and yc == c:
+            yield v * w
 
 
 def norm(x: MatrixClass) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .matrix import RATIONAL, Matrix, scalar_eq, scale, zeros
+from .matrix import RATIONAL, Matrix, eq_within, scalar_eq, scale, zeros
 from .stp import lminus, lplus, ltimes, ratio_of
 
 
@@ -61,24 +61,8 @@ def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
 
 def is_reducible(A: Matrix, rtol: float | None = None) -> tuple[bool, int | None]:
     """Whether A = B x I_s for some s >= 2; witness is the largest such s."""
-    g = gcd(A.rows, A.cols)
-    for s in sorted(_divisors(g), reverse=True):
-        if s < 2:
-            break
-        if try_unkron(A, s, rtol) is not None:
-            return True, s
-    return False, None
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+    s = A.rows // canonicalize(A, rtol).rep.rows
+    return (True, s) if s > 1 else (False, None)
 
 
 @dataclass(frozen=True)
@@ -131,10 +115,10 @@ def canonicalize(A: Matrix, rtol: float | None = None) -> MatrixClass:
 
 
 def equivalent(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:
-    """Whether A and B are identity-equivalent (equal canonical reps)."""
+    """Whether A and B are identity-equivalent (canonical reps equal within rtol)."""
     x = canonicalize(A, rtol)
     y = canonicalize(B, rtol)
-    return x.mu == y.mu and x.rep == y.rep
+    return x.mu == y.mu and eq_within(x.rep, y.rep, rtol)
 
 
 def zero_class(mu: Fraction, scalar: str = RATIONAL) -> MatrixClass:

@@ -5,9 +5,12 @@ lifted by Kronecker identities to the lcm of the inner dimensions before
 the ordinary product. The addition is defined only within one row/column
 ratio and lifts to the lcm of the row counts.
 
-These are the reference implementations that materialize the lifts in
-full; ``kernels.ltimes_fast`` is the structure-exploiting path and must
-agree bit-exactly with ``ltimes`` in exact mode.
+No lift is ever built. ``_lift`` lists the nonzero entries of A x I_s
+(a diagonal run of s entries per entry of A) or of I_s x A (s
+block-diagonal copies of A), and every operation that lifts, here and in
+the quotient, metric and basis modules, works from that list and
+allocates only its result. Exact mode agrees bit for bit with the
+Kronecker-built definitions, which the test suite keeps as references.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .matrix import Matrix, identity, kron, matmul, add, neg
+from .matrix import Matrix, _require_same_kind, _zero, neg
 
 
 def ratio_of(A: Matrix) -> Fraction:
@@ -23,20 +26,74 @@ def ratio_of(A: Matrix) -> Fraction:
     return Fraction(A.rows, A.cols)
 
 
+def _lift(A: Matrix, s: int, right: bool = False):
+    """Nonzero entries (row, col, value) of A x I_s, or of I_s x A if right.
+
+    Rows ascend, and columns ascend within a row. Entry (i, j) of A
+    becomes the run (i*s + d, j*s + d) for d < s on the left, and the
+    copies (b*m + i, b*n + j) for b < s on the right.
+    """
+    m, n = A.rows, A.cols
+    if right:
+        nonzero = [[(j, v) for j, v in enumerate(A.row(i)) if v] for i in range(m)]
+        for b in range(s):
+            for i, row in enumerate(nonzero):
+                for j, v in row:
+                    yield b * m + i, b * n + j, v
+    else:
+        for i in range(m):
+            row = [(j, v) for j, v in enumerate(A.row(i)) if v]
+            for d in range(s):
+                for j, v in row:
+                    yield i * s + d, j * s + d, v
+
+
+def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
+    # Each output cell accumulates over ascending inner index, exactly as
+    # the ordinary product of the two lifts would.
+    _require_same_kind(A, B)
+    t = lcm(A.cols, B.rows)
+    rows, cols = A.rows * (t // A.cols), B.cols * (t // B.rows)
+    b_rows = [[] for _ in range(t)]
+    for k, c, w in _lift(B, t // B.rows, right):
+        b_rows[k].append((c, w))
+    acc = [_zero(A.scalar)] * (rows * cols)
+    for r, k, v in _lift(A, t // A.cols, right):
+        base = r * cols
+        for c, w in b_rows[k]:
+            acc[base + c] += v * w
+    return Matrix(rows, cols, tuple(acc), A.scalar)
+
+
 def ltimes(A: Matrix, B: Matrix) -> Matrix:
     """Left semi-tensor product (A x I_{t/n}) (B x I_{t/p}), t = lcm(n, p)."""
-    t = lcm(A.cols, B.rows)
-    left = kron(A, identity(t // A.cols, A.scalar))
-    right = kron(B, identity(t // B.rows, B.scalar))
-    return matmul(left, right)
+    return _times(A, B, right=False)
 
 
 def rtimes(A: Matrix, B: Matrix) -> Matrix:
     """Right semi-tensor product (I_{t/n} x A) (I_{t/p} x B), t = lcm(n, p)."""
-    t = lcm(A.cols, B.rows)
-    left = kron(identity(t // A.cols, A.scalar), A)
-    right = kron(identity(t // B.rows, B.scalar), B)
-    return matmul(left, right)
+    return _times(A, B, right=True)
+
+
+def _sum_lifts(mats: list[Matrix], right: bool = False) -> Matrix:
+    """Sum of same-ratio matrices, each lifted to the lcm of the row counts.
+
+    A cell's first contribution is stored as is rather than added to zero,
+    which spares a Fraction addition; in float mode a cell can therefore
+    hold 0.0 where the sum of the full lifts has -0.0.
+    """
+    first = mats[0]
+    t = lcm(*(X.rows for X in mats))
+    cols = t * first.cols // first.rows
+    zero = _zero(first.scalar)
+    acc = [zero] * (t * cols)
+    for X in mats:
+        _require_same_kind(first, X)
+        for r, c, v in _lift(X, t // X.rows, right):
+            k = r * cols + c
+            cur = acc[k]
+            acc[k] = v if cur is zero else cur + v
+    return Matrix(t, cols, tuple(acc), first.scalar)
 
 
 def _require_same_ratio(A: Matrix, B: Matrix) -> None:
@@ -51,11 +108,7 @@ def _require_same_ratio(A: Matrix, B: Matrix) -> None:
 def lplus(A: Matrix, B: Matrix) -> Matrix:
     """Left semi-tensor addition (A x I_{t/m}) + (B x I_{t/p}), t = lcm(m, p)."""
     _require_same_ratio(A, B)
-    t = lcm(A.rows, B.rows)
-    return add(
-        kron(A, identity(t // A.rows, A.scalar)),
-        kron(B, identity(t // B.rows, B.scalar)),
-    )
+    return _sum_lifts([A, B])
 
 
 def lminus(A: Matrix, B: Matrix) -> Matrix:
@@ -65,11 +118,7 @@ def lminus(A: Matrix, B: Matrix) -> Matrix:
 def rplus(A: Matrix, B: Matrix) -> Matrix:
     """Right semi-tensor addition (I_{t/m} x A) + (I_{t/p} x B)."""
     _require_same_ratio(A, B)
-    t = lcm(A.rows, B.rows)
-    return add(
-        kron(identity(t // A.rows, A.scalar), A),
-        kron(identity(t // B.rows, B.scalar), B),
-    )
+    return _sum_lifts([A, B], right=True)
 
 
 def rminus(A: Matrix, B: Matrix) -> Matrix:

@@ -1,15 +1,28 @@
 """Shared test utilities: an independent list-based oracle for the
-lifted-product definitions, and seeded random matrix generators.
+lifted-product definitions, Matrix-level references that build the
+identity lifts in full, and seeded random matrix generators.
 
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
-are genuinely dual-route.
+are genuinely dual-route. The ``ref_*`` references follow the
+definitions literally with the library's own ``kron``/``matmul``/``add``:
+they allocate the lifts the library never builds, which the allocation
+tests measure, and they work in both scalar kinds.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from semitensor import Matrix, RATIONAL, from_rows
+from semitensor import (
+    Matrix,
+    RATIONAL,
+    add,
+    frobenius_inner,
+    from_rows,
+    identity,
+    kron,
+    matmul,
+)
 
 
 # --- independent oracle on nested lists ---------------------------------
@@ -60,6 +73,42 @@ def o_lplus(A, B):
 def o_rplus(A, B):
     t = lcm(len(A), len(B))
     return o_add(o_kron(o_identity(t // len(A)), A), o_kron(o_identity(t // len(B)), B))
+
+
+# --- Kronecker-built references on Matrix ------------------------------
+
+def _lift_left(A: Matrix, s: int) -> Matrix:
+    return kron(A, identity(s, A.scalar))
+
+
+def _lift_right(A: Matrix, s: int) -> Matrix:
+    return kron(identity(s, A.scalar), A)
+
+
+def ref_ltimes(A: Matrix, B: Matrix) -> Matrix:
+    t = lcm(A.cols, B.rows)
+    return matmul(_lift_left(A, t // A.cols), _lift_left(B, t // B.rows))
+
+
+def ref_rtimes(A: Matrix, B: Matrix) -> Matrix:
+    t = lcm(A.cols, B.rows)
+    return matmul(_lift_right(A, t // A.cols), _lift_right(B, t // B.rows))
+
+
+def ref_lplus(A: Matrix, B: Matrix) -> Matrix:
+    t = lcm(A.rows, B.rows)
+    return add(_lift_left(A, t // A.rows), _lift_left(B, t // B.rows))
+
+
+def ref_rplus(A: Matrix, B: Matrix) -> Matrix:
+    t = lcm(A.rows, B.rows)
+    return add(_lift_right(A, t // A.rows), _lift_right(B, t // B.rows))
+
+
+def ref_inner(A: Matrix, B: Matrix):
+    """Pairing of two same-ratio matrices: Frobenius product of the lifts."""
+    t = lcm(A.rows, B.rows)
+    return frobenius_inner(_lift_left(A, t // A.rows), _lift_left(B, t // B.rows))
 
 
 # --- random generators ---------------------------------------------------

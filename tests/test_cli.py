@@ -107,18 +107,34 @@ def test_basis_list(capsys):
     ]
 
 
-def test_bench_report(capsys):
-    code, out, _ = run(capsys, "bench", "--sizes", "2,2,3,3", "--reps", "3")
-    assert code == 0
-    report = json.loads(out)
-    assert len(report["results"]) == 1
-    assert report["results"][0]["fast_peak_elems"] == 0
-
-
 def test_domain_error_exit_code(capsys):
     # semi-tensor addition across different ratios
     code, _, err = run(capsys, "sta", "[1]", "[[1,2]]")
     assert code == 1
+    assert json.loads(err)["error"] == "domain"
+
+
+def test_nonfinite_input_is_parse_error(capsys, tmp_path):
+    csv = tmp_path / "inf.csv"
+    csv.write_text("1.0,inf\n")
+    js = tmp_path / "nan.json"
+    js.write_text('{"rows": 1, "cols": 1, "scalar": "float64", "data": [NaN]}')
+    for argv in (
+        ("--scalar", "float64", "canon", "[[NaN,0],[0,NaN]]"),
+        ("--scalar", "float64", "canon", str(csv)),
+        ("canon", str(js)),
+        ("cauchy", "--a1", "[1, Infinity]", "--nmax", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert json.loads(err)["error"] == "parse"
+
+
+def test_overflowed_result_is_domain_error(capsys):
+    code, out, err = run(capsys, "--scalar", "float64", "inner", "[[1e200]]", "[[1e200]]")
+    assert code == 1
+    assert out == ""
     assert json.loads(err)["error"] == "domain"
 
 

@@ -10,6 +10,8 @@ from conftest import matrices
 from helpers import as_matrix, rand_matrix
 
 from semitensor import (
+    eq_within,
+    from_rows,
     canonicalize,
     class_add,
     class_mul,
@@ -85,6 +87,16 @@ def test_equivalent_examples():
     assert equivalent(A, kron(A, identity(3)))
     assert not equivalent(as_matrix([[1, 2]]), as_matrix([[1, 3]]))
     assert equivalent(as_matrix([[2, 0], [0, 2]]), as_matrix([[2]]))
+
+
+def test_equivalent_under_tolerance_matches_eq_within():
+    A = from_rows([[1.0, 2.0]], FLOAT64)
+    B = from_rows([[1.0, 2.0 + 1e-13]], FLOAT64)
+    assert eq_within(A, B, rtol=1e-9)
+    assert equivalent(A, B, rtol=1e-9)
+    assert equivalent(kron(A, identity(3, FLOAT64)), B, rtol=1e-9)
+    assert not equivalent(A, B, rtol=0.0)
+    assert not equivalent(A, from_rows([[1.0, 2.1]], FLOAT64), rtol=1e-9)
 
 
 def test_class_add_examples():
