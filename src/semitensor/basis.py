@@ -8,20 +8,21 @@ gcd chains: the plus-chain walks j down to 0 in steps f_n = gcd(i, rest),
 the minus-chain walks j-1 down to 0, and the signed sum of the emitted
 coprime units reproduces the original unit after lifting.
 
-Span and independence questions are decided exactly by lifting every
-representative to the lcm of their sizes and solving the resulting
-linear system over the rationals.
+Because these classes form a basis, decompose_class is an exact linear
+isomorphism onto finite-support coordinates. Span and independence
+questions are therefore decided by exact sparse elimination over the
+coordinates of each class, with no representative ever lifted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .matrix import RATIONAL, Matrix, e_matrix, kron
 from .quotient import MatrixClass, canonicalize, zero_class
-from .stp import _lift, _sum_lifts
+from .stp import _sum_lifts
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,6 @@ def gcd_chain(i: int, j1: int, j2: int | None = None) -> GcdChain:
     return GcdChain(tuple(f), tuple(g))
 
 
-def _merge(acc: dict[BasisElement, Fraction], e: BasisElement, c: Fraction) -> None:
-    new = acc.get(e, Fraction(0)) + c
-    if new == 0:
-        acc.pop(e, None)
-    else:
-        acc[e] = new
-
-
 def decompose_unit(mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> Coordinates:
     """Expand the class of E(p x q; k, l) x E(i x i; j1, j2) over the basis.
 
@@ -154,32 +147,49 @@ def decompose_unit(mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> Co
     if not (1 <= k <= p and 1 <= l <= q and 1 <= j1 <= i and 1 <= j2 <= i):
         raise ValueError(f"indices (k={k}, l={l}, i={i}, j1={j1}, j2={j2}) out of range")
 
-    if j1 == j2:
-        if gcd(i, j1) == 1:
-            return Coordinates(mu, {BasisElement(mu, k, l, i, j1, j2): Fraction(1)})
-        chain = gcd_chain(i, j1)
-        lo = hi = j1
-        swapped = False
-    else:
-        if gcd(i, j1, j2) == 1:
-            return Coordinates(mu, {BasisElement(mu, k, l, i, j1, j2): Fraction(1)})
-        lo, hi = min(j1, j2), max(j1, j2)
-        swapped = j1 > j2
-        chain = gcd_chain(i, lo, hi)
+    if gcd(i, j1, j2) == 1:  # gcd(i, j1) == 1 on the diagonal
+        return Coordinates(mu, {BasisElement(mu, k, l, i, j1, j2): Fraction(1)})
+    lo, hi = min(j1, j2), max(j1, j2)
+    chain = gcd_chain(i, j1) if j1 == j2 else gcd_chain(i, lo, hi)
+    swapped = j1 > j2
 
-    acc: dict[BasisElement, Fraction] = {}
-    for steps, start_lo, start_hi, sign in (
-        (chain.f, lo, hi, Fraction(1)),
-        (chain.g, lo - 1, hi - 1, Fraction(-1)),
-    ):
+    acc: dict[tuple[int, int, int], int] = {}
+    for steps, start_lo, start_hi, sign in ((chain.f, lo, hi, 1), (chain.g, lo - 1, hi - 1, -1)):
         pre = 0
         for s in steps:
             x = (start_lo - pre) // s
             y = (start_hi - pre) // s
-            a, b = (y, x) if swapped else (x, y)
-            _merge(acc, BasisElement(mu, k, l, i // s, a, b), sign)
+            key = (i // s, y, x) if swapped else (i // s, x, y)
+            acc[key] = acc.get(key, 0) + sign
             pre += s
-    return Coordinates(mu, acc)
+    return Coordinates(mu, {
+        BasisElement(mu, k, l, size, a, b): Fraction(c) for (size, a, b), c in acc.items() if c
+    })
+
+
+def _coordinates(x: MatrixClass, expansions: dict) -> dict[tuple[int, ...], Fraction]:
+    # Coordinates of an exact class keyed by sort_key tuples (i, j1, j2, k, l).
+    # Every cell (j1, j2) of a k0 x k0 grid has one unit expansion, kept in
+    # the caller's dict under (k0, j1, j2) and telescoped once per call.
+    k0, rep = x.k0, x.rep
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for idx, a in enumerate(rep.data):
+        if not a:
+            continue
+        big_i, big_j = divmod(idx, rep.cols)
+        k, j1 = divmod(big_i, k0)
+        l, j2 = divmod(big_j, k0)
+        part = expansions.get((k0, j1, j2))
+        if part is None:
+            unit = decompose_unit(Fraction(1), 1, 1, k0, j1 + 1, j2 + 1)
+            part = [((e.i, e.j1, e.j2), int(c)) for e, c in unit.terms.items()]
+            expansions[(k0, j1, j2)] = part
+        for (i, b1, b2), c in part:
+            key = (i, b1, b2, k + 1, l + 1)
+            v = a if c == 1 else a * c
+            cur = acc.get(key)
+            acc[key] = v if cur is None else cur + v
+    return {key: c for key, c in acc.items() if c}
 
 
 def decompose_class(x: MatrixClass) -> Coordinates:
@@ -192,19 +202,9 @@ def decompose_class(x: MatrixClass) -> Coordinates:
     """
     if x.scalar != RATIONAL:
         raise ValueError("coordinates are exact-rational; rationalize the class first")
-    k0 = x.k0
-    acc: dict[BasisElement, Fraction] = {}
-    rep = x.rep
-    for idx, a in enumerate(rep.data):
-        if a == 0:
-            continue
-        big_i, big_j = divmod(idx, rep.cols)
-        k, j1 = divmod(big_i, k0)
-        l, j2 = divmod(big_j, k0)
-        part = decompose_unit(x.mu, k + 1, l + 1, k0, j1 + 1, j2 + 1)
-        for e, c in part.terms.items():
-            _merge(acc, e, a * c)
-    return Coordinates(x.mu, acc)
+    return Coordinates(x.mu, {
+        BasisElement(x.mu, k, l, i, j1, j2): c for (i, j1, j2, k, l), c in _coordinates(x, {}).items()
+    })
 
 
 def reconstruct(c: Coordinates) -> MatrixClass:
@@ -225,73 +225,57 @@ def reconstruct(c: Coordinates) -> MatrixClass:
     return canonicalize(_sum_lifts(units))
 
 
-def _lift_vector(x: MatrixClass, R: int) -> list[Fraction]:
-    cols = R * x.rep.cols // x.rep.rows
-    vec = [Fraction(0)] * (R * cols)
-    for r, c, v in _lift(x.rep, R // x.rep.rows):
-        vec[r * cols + c] = v
-    return vec
+def _eliminate(pivots: dict, v: dict[tuple[int, ...], Fraction]) -> bool:
+    """Reduce v by the pivot rows; keep and report a nonzero remainder.
+
+    Each stored row is scaled to 1 at its pivot, its smallest key, so
+    subtracting it clears v's smallest key and touches only larger ones.
+    Returns True when v is independent of the rows already stored.
+    """
+    while v:
+        key = min(v)
+        row = pivots.get(key)
+        if row is None:
+            inv = 1 / v[key]
+            pivots[key] = {k: c * inv for k, c in v.items()}
+            return True
+        f = v[key]
+        for k, c in row.items():
+            new = v.get(k, 0) - f * c
+            if new:
+                v[k] = new
+            else:
+                del v[k]
+    return False
 
 
-def _row_echelon(rows: list[list[Fraction]]) -> int:
-    """In-place elimination; returns the rank."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _require_exact_same_mu(classes: list[MatrixClass], mu: Fraction) -> None:
+def _require_exact_same_mu(classes: list[MatrixClass]) -> None:
     for x in classes:
         if x.scalar != RATIONAL:
             raise ValueError("span checks need exact-rational classes")
-        if x.mu != mu:
-            raise ValueError(f"mixed ratios: {x.mu} vs {mu}")
+        if x.mu != classes[0].mu:
+            raise ValueError(f"mixed ratios: {x.mu} vs {classes[0].mu}")
 
 
 def in_span(target: MatrixClass, classes: list[MatrixClass]) -> bool:
     """Whether target is a rational combination of the given classes.
 
-    All representatives are lifted to the lcm of their row counts and
-    vectorized; membership is consistency of the exact linear system.
+    Every class is mapped to its basis coordinates; target is in the span
+    exactly when its coordinates reduce to zero against the echelon rows
+    of the others.
     """
-    _require_exact_same_mu([target] + list(classes), target.mu)
-    R = target.rep.rows
+    _require_exact_same_mu([target] + list(classes))
+    pivots, expansions = {}, {}
     for x in classes:
-        R = lcm(R, x.rep.rows)
-    cols = [_lift_vector(x, R) for x in classes]
-    t = _lift_vector(target, R)
-    plain = [[col[r] for col in cols] for r in range(len(t))]
-    augmented = [[col[r] for col in cols] + [t[r]] for r in range(len(t))]
-    return _row_echelon(plain) == _row_echelon(augmented)
+        _eliminate(pivots, _coordinates(x, expansions))
+    return not _eliminate(pivots, _coordinates(target, expansions))
 
 
 def independent(classes: list[MatrixClass]) -> bool:
-    """Whether the classes are linearly independent (exact rank check)."""
-    if not classes:
-        return True
-    _require_exact_same_mu(list(classes), classes[0].mu)
-    R = 1
-    for x in classes:
-        R = lcm(R, x.rep.rows)
-    cols = [_lift_vector(x, R) for x in classes]
-    rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
-    return _row_echelon(rows) == len(classes)
+    """Whether the classes are linearly independent (exact rank check in coordinates)."""
+    _require_exact_same_mu(list(classes))
+    pivots, expansions = {}, {}
+    return all(_eliminate(pivots, _coordinates(x, expansions)) for x in classes)
 
 
 def enumerate_basis(mu: Fraction, i_max: int) -> list[BasisElement]:

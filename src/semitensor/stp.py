@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .matrix import Matrix, _require_same_kind, _zero, neg
+from .matrix import Matrix, _require_same_kind, _zero
 
 
 def ratio_of(A: Matrix) -> Fraction:
@@ -26,23 +26,29 @@ def ratio_of(A: Matrix) -> Fraction:
     return Fraction(A.rows, A.cols)
 
 
-def _lift(A: Matrix, s: int, right: bool = False):
+def _lift(A: Matrix, s: int, right: bool = False, negate: bool = False):
     """Nonzero entries (row, col, value) of A x I_s, or of I_s x A if right.
 
     Rows ascend, and columns ascend within a row. Entry (i, j) of A
     becomes the run (i*s + d, j*s + d) for d < s on the left, and the
-    copies (b*m + i, b*n + j) for b < s on the right.
+    copies (b*m + i, b*n + j) for b < s on the right. With negate, the
+    entries are those of the lift of -A, each negated once, not once per copy.
     """
     m, n = A.rows, A.cols
+
+    def nonzero(i):
+        row = [(j, v) for j, v in enumerate(A.row(i)) if v]
+        return [(j, -v) for j, v in row] if negate else row
+
     if right:
-        nonzero = [[(j, v) for j, v in enumerate(A.row(i)) if v] for i in range(m)]
+        rows = [nonzero(i) for i in range(m)]
         for b in range(s):
-            for i, row in enumerate(nonzero):
+            for i, row in enumerate(rows):
                 for j, v in row:
                     yield b * m + i, b * n + j, v
     else:
         for i in range(m):
-            row = [(j, v) for j, v in enumerate(A.row(i)) if v]
+            row = nonzero(i)
             for d in range(s):
                 for j, v in row:
                     yield i * s + d, j * s + d, v
@@ -75,9 +81,11 @@ def rtimes(A: Matrix, B: Matrix) -> Matrix:
     return _times(A, B, right=True)
 
 
-def _sum_lifts(mats: list[Matrix], right: bool = False) -> Matrix:
+def _sum_lifts(mats: list[Matrix], right: bool = False, signs: tuple[int, ...] = ()) -> Matrix:
     """Sum of same-ratio matrices, each lifted to the lcm of the row counts.
 
+    ``signs`` gives each operand's sign (+1 where omitted); a negative one
+    lifts the operand's negation, so a difference builds no negated copy.
     A cell's first contribution is stored as is rather than added to zero,
     which spares a Fraction addition; in float mode a cell can therefore
     hold 0.0 where the sum of the full lifts has -0.0.
@@ -87,9 +95,9 @@ def _sum_lifts(mats: list[Matrix], right: bool = False) -> Matrix:
     cols = t * first.cols // first.rows
     zero = _zero(first.scalar)
     acc = [zero] * (t * cols)
-    for X in mats:
+    for n, X in enumerate(mats):
         _require_same_kind(first, X)
-        for r, c, v in _lift(X, t // X.rows, right):
+        for r, c, v in _lift(X, t // X.rows, right, n < len(signs) and signs[n] < 0):
             k = r * cols + c
             cur = acc[k]
             acc[k] = v if cur is zero else cur + v
@@ -112,7 +120,9 @@ def lplus(A: Matrix, B: Matrix) -> Matrix:
 
 
 def lminus(A: Matrix, B: Matrix) -> Matrix:
-    return lplus(A, neg(B))
+    """Left semi-tensor difference, lplus(A, -B) without building -B."""
+    _require_same_ratio(A, B)
+    return _sum_lifts([A, B], signs=(1, -1))
 
 
 def rplus(A: Matrix, B: Matrix) -> Matrix:
@@ -122,4 +132,6 @@ def rplus(A: Matrix, B: Matrix) -> Matrix:
 
 
 def rminus(A: Matrix, B: Matrix) -> Matrix:
-    return rplus(A, neg(B))
+    """Right semi-tensor difference, rplus(A, -B) without building -B."""
+    _require_same_ratio(A, B)
+    return _sum_lifts([A, B], right=True, signs=(1, -1))

@@ -1,6 +1,7 @@
 """Shared test utilities: an independent list-based oracle for the
 lifted-product definitions, Matrix-level references that build the
-identity lifts in full, and seeded random matrix generators.
+identity lifts in full, span and rank checks by lcm lifts, and seeded
+random matrix generators.
 
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
@@ -109,6 +110,58 @@ def ref_inner(A: Matrix, B: Matrix):
     """Pairing of two same-ratio matrices: Frobenius product of the lifts."""
     t = lcm(A.rows, B.rows)
     return frobenius_inner(_lift_left(A, t // A.rows), _lift_left(B, t // B.rows))
+
+
+# --- span and rank by lcm lifts -------------------------------------------
+
+def _lift_vector(x, R):
+    """The representative of class x lifted to R rows, flattened."""
+    return list(_lift_left(x.rep, R // x.rep.rows).data)
+
+
+def _row_echelon(rows):
+    """In-place elimination; returns the rank."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def ref_in_span(target, classes):
+    """Whether target is a combination of the classes: every representative
+    is lifted to the lcm of the row counts, and membership is consistency
+    of the exact linear system."""
+    R = lcm(target.rep.rows, *(x.rep.rows for x in classes))
+    cols = [_lift_vector(x, R) for x in classes]
+    t = _lift_vector(target, R)
+    plain = [[col[r] for col in cols] for r in range(len(t))]
+    augmented = [[col[r] for col in cols] + [t[r]] for r in range(len(t))]
+    return _row_echelon(plain) == _row_echelon(augmented)
+
+
+def ref_independent(classes):
+    """Whether the classes are independent: exact rank of the lcm lifts."""
+    if not classes:
+        return True
+    R = lcm(*(x.rep.rows for x in classes))
+    cols = [_lift_vector(x, R) for x in classes]
+    rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
+    return _row_echelon(rows) == len(classes)
 
 
 # --- random generators ---------------------------------------------------

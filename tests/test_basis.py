@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from helpers import as_matrix, rand_matrix
+from helpers import as_matrix, rand_matrix, ref_in_span, ref_independent
 
 from semitensor import (
     BasisElement,
@@ -159,19 +159,24 @@ def test_reconstruct_matches_pairwise_folding():
         assert reconstruct(coords) == folded == x
 
 
+def _assert_round_trip(x):
+    # every emitted index meets the gcd conditions, and the expansion
+    # reconstructs the class
+    coords = decompose_class(x)
+    for e in coords.terms:
+        if e.j1 == e.j2:
+            assert gcd(e.i, e.j1) == 1
+        else:
+            assert e.i >= 2 and gcd(e.i, e.j1, e.j2) == 1
+    assert reconstruct(coords) == x
+
+
 @pytest.mark.parametrize("mu", [Fraction(1), Fraction(1, 2), Fraction(2, 3)])
 def test_round_trip_random_classes(mu):
     rng = random.Random(61)
     for _ in range(15):
         k0 = rng.randint(1, 6)
-        x = canonicalize(rand_matrix(rng, k0 * mu.numerator, k0 * mu.denominator))
-        coords = decompose_class(x)
-        for e in coords.terms:
-            if e.j1 == e.j2:
-                assert gcd(e.i, e.j1) == 1
-            else:
-                assert e.i >= 2 and gcd(e.i, e.j1, e.j2) == 1
-        assert reconstruct(coords) == x
+        _assert_round_trip(canonicalize(rand_matrix(rng, k0 * mu.numerator, k0 * mu.denominator)))
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3)])
@@ -221,6 +226,84 @@ def test_enumerate_basis_examples():
     assert got == [("D", 1, 1, 1), ("D", 2, 1, 1), ("N", 2, 1, 2), ("N", 2, 2, 1)]
     got = [(e.k, e.l, e.i) for e in enumerate_basis(Fraction(1, 2), 1)]
     assert got == [(1, 1, 1), (1, 2, 1)]
+
+
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+def test_span_and_rank_match_lifted_references(mu):
+    # coordinate elimination against rank of the lcm lifts, on families of
+    # dense classes and units with representative sizes k0 = 1..3, some
+    # made dependent by a combination or a zero member
+    rng = random.Random(103)
+    p, q = mu.numerator, mu.denominator
+    units = enumerate_basis(mu, 3)
+
+    def member():
+        if rng.random() < 0.5:
+            k0 = rng.randint(1, 3)
+            return canonicalize(rand_matrix(rng, k0 * p, k0 * q))
+        return unit_class(rng.choice(units))
+
+    def combination(classes):
+        acc = zero_class(mu)
+        for x in classes:
+            acc = class_add(acc, scalar_mul(Fraction(rng.choice((-3, -1, 1, 2))), x))
+        return acc
+
+    seen = set()
+    for trial in range(16):
+        family = [member() for _ in range(rng.randint(0, 4))]
+        if family and trial % 3 == 0:
+            family.append(combination(rng.sample(family, rng.randint(1, len(family)))))
+        if trial % 5 == 1:
+            family.append(zero_class(mu))
+        rng.shuffle(family)
+        kind = trial % 3
+        if kind == 0:
+            target = zero_class(mu)
+        elif kind == 1 and family:
+            target = combination(family)
+        else:
+            target = member()
+        verdicts = (independent(family), in_span(target, family))
+        assert verdicts == (ref_independent(family), ref_in_span(target, family)), trial
+        seen.update(enumerate(verdicts))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+    assert independent([]) and in_span(zero_class(mu), [])
+    assert not in_span(unit_class(units[0]), [])
+
+
+@pytest.mark.parametrize("mu, i_max", [(Fraction(1), 12), (Fraction(1, 2), 8), (Fraction(2, 3), 6)])
+def test_basis_family_independent_beyond_lift_reach(mu, i_max):
+    # i <= 12 shares a lift of lcm(1..12) = 27720 rows, too large to lift
+    family = [unit_class(e) for e in enumerate_basis(mu, i_max)]
+    assert independent(family)
+
+
+def test_dropped_i12_member_not_in_span_of_the_rest():
+    rng = random.Random(107)
+    mu = Fraction(1)
+    elems = enumerate_basis(mu, 12)
+    assert len(elems) == 528
+    dropped = rng.choice([e for e in elems if e.i == 12])
+    rest = [e for e in elems if e != dropped]
+    coords = Coordinates(mu, {e: Fraction(rng.randint(1, 5)) for e in [dropped] + rng.sample(rest, 3)})
+    target = reconstruct(coords)
+    rest_classes = [unit_class(e) for e in rest]
+    assert not in_span(target, rest_classes)
+    assert in_span(target, rest_classes + [unit_class(dropped)])
+
+
+def test_decompose_at_large_k0():
+    # sums of units of every size 2..6 share the lift k0 = lcm(2..6) = 60
+    rng = random.Random(109)
+    mu = Fraction(1)
+    for _ in range(4):
+        x = zero_class(mu)
+        for i in (2, 3, 4, 5, 6, rng.randint(2, 6)):
+            unit = canonicalize(e_matrix(i, i, rng.randrange(i), rng.randrange(i)))
+            x = class_add(x, scalar_mul(Fraction(rng.randint(1, 5), rng.randint(1, 3)), unit))
+        assert x.k0 == 60
+        _assert_round_trip(x)
 
 
 def test_coordinates_unique_at_truncation():

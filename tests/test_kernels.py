@@ -23,10 +23,12 @@ from semitensor import (
     eq_within,
     from_rows,
     inner,
+    lminus,
     lplus,
     ltimes,
     matmul,
     ratio_of,
+    rminus,
     rplus,
     rtimes,
 )
@@ -102,7 +104,7 @@ def test_allocation_footprints():
 def test_lift_free_allocation_at_coprime_sizes(n, p):
     rng = random.Random(89 + n)
     A, B = rand_matrix(rng, n, n), rand_matrix(rng, p, p)
-    for op in (lplus, rplus, ltimes, rtimes):
+    for op in (lplus, rplus, lminus, rminus, ltimes, rtimes):
         alloc, out = _alloc_during(op, A, B)
         assert alloc == out.rows * out.cols, op.__name__
     x, y = MatrixClass(ratio_of(A), A), MatrixClass(ratio_of(B), B)
