@@ -39,24 +39,35 @@ def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
     Viewing A as an (m/s) x (n/s) grid of s x s blocks, the factorization
     holds iff every block is a scalar multiple of I_s. rtol applies only
     in float mode; rtol=0 forces exact float comparison.
+
+    In exact mode a block row is checked a row at a time: row i*s + a
+    must repeat row i*s's entries at columns 0, s, 2s, ... at columns a,
+    a + s, ..., and be zero everywhere else. Float mode compares entry
+    by entry through ``scalar_eq``, so NaN never matches itself.
     """
     if s < 2 or A.rows % s or A.cols % s:
         return None
     m, n = A.rows // s, A.cols // s
-    kind = A.scalar
     vals = []
+    if A.scalar == RATIONAL:
+        for i in range(m):
+            diag = A.row(i * s)[::s]
+            for a in range(s):
+                row = A.row(i * s + a)
+                if row[a::s] != diag or any(any(row[b::s]) for b in range(s) if b != a):
+                    return None
+            vals += diag
+        return Matrix(m, n, tuple(vals), RATIONAL)
     for i in range(m):
         for j in range(n):
             d = A.entry(i * s, j * s)
             for a in range(s):
                 base = (i * s + a) * A.cols + j * s
                 for b in range(s):
-                    v = A.data[base + b]
-                    want = d if a == b else (Fraction(0) if kind == RATIONAL else 0.0)
-                    if not scalar_eq(v, want, kind, rtol):
+                    if not scalar_eq(A.data[base + b], d if a == b else 0.0, A.scalar, rtol):
                         return None
             vals.append(d)
-    return Matrix(m, n, tuple(vals), kind)
+    return Matrix(m, n, tuple(vals), A.scalar)
 
 
 def is_reducible(A: Matrix, rtol: float | None = None) -> tuple[bool, int | None]:

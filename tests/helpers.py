@@ -1,7 +1,7 @@
 """Shared test utilities: an independent list-based oracle for the
 lifted-product definitions, Matrix-level references that build the
-identity lifts in full, span and rank checks by lcm lifts, and seeded
-random matrix generators.
+identity lifts in full, an entry-by-entry peel check, span and rank
+checks by lcm lifts, and seeded random matrix generators.
 
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
@@ -24,6 +24,7 @@ from semitensor import (
     kron,
     matmul,
 )
+from semitensor.matrix import scalar_eq
 
 
 # --- independent oracle on nested lists ---------------------------------
@@ -110,6 +111,29 @@ def ref_inner(A: Matrix, B: Matrix):
     """Pairing of two same-ratio matrices: Frobenius product of the lifts."""
     t = lcm(A.rows, B.rows)
     return frobenius_inner(_lift_left(A, t // A.rows), _lift_left(B, t // B.rows))
+
+
+# --- peel check, entry by entry ------------------------------------------
+
+def ref_try_unkron(A: Matrix, s: int, rtol=None):
+    """B with A = B x I_s, or None: every s x s block is compared with
+    d * I_s, d its top-left entry, one entry at a time through scalar_eq."""
+    if s < 2 or A.rows % s or A.cols % s:
+        return None
+    m, n = A.rows // s, A.cols // s
+    kind = A.scalar
+    zero = Fraction(0) if kind == RATIONAL else 0.0
+    vals = []
+    for i in range(m):
+        for j in range(n):
+            d = A.entry(i * s, j * s)
+            for a in range(s):
+                for b in range(s):
+                    v = A.entry(i * s + a, j * s + b)
+                    if not scalar_eq(v, d if a == b else zero, kind, rtol):
+                        return None
+            vals.append(d)
+    return Matrix(m, n, tuple(vals), kind)
 
 
 # --- span and rank by lcm lifts -------------------------------------------

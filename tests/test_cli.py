@@ -138,6 +138,15 @@ def test_overflowed_result_is_domain_error(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+def test_oversized_result_is_domain_error(capsys):
+    # t = lcm(997, 991) = 988027: a 49550 x 49850 product, over the size budget
+    a, b = json.dumps([[1] * 997] * 50), json.dumps([[1] * 50] * 991)
+    code, out, err = run(capsys, "stp", a, b)
+    assert code == 1
+    assert out == ""
+    assert "budget" in json.loads(err)["message"]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "stp", "not-a-file.json", "[1]")
     assert code == 2

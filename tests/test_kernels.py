@@ -1,10 +1,12 @@
 """Lift-free semi-tensor operations against the Kronecker-built references:
-bit equality and allocation footprints."""
+bit equality, allocation footprints and the size budget."""
 
 import random
+from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import (
     as_matrix,
@@ -16,13 +18,18 @@ from helpers import (
     ref_rtimes,
 )
 
+import semitensor.stp
 from semitensor import (
     FLOAT64,
+    Matrix,
     MatrixClass,
     allocated_elems,
+    canonicalize,
     eq_within,
     from_rows,
+    identity,
     inner,
+    kron,
     lminus,
     lplus,
     ltimes,
@@ -129,3 +136,117 @@ def test_inner_matches_reference_at_coprime_lifts(n, p):
     Af, Bf = _rand_float(rng, n, n), _rand_float(rng, p, p)
     xf, yf = MatrixClass(ratio_of(Af), Af), MatrixClass(ratio_of(Bf), Bf)
     assert repr(inner(xf, yf)) == repr(ref_inner(Af, Bf))
+
+
+# --- adversarial denominators -------------------------------------------
+
+def _primes_from(start):
+    n = start
+    while True:
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            yield n
+        n += 1
+
+
+def _adversarial(case, rng, shape, primes):
+    """A rational matrix for one adversarial case. Every entry has its own
+    prime denominator near 10^4 and a random sign; "zero_lines" then zeroes
+    one row and one column, and "zero_operand" zeroes everything."""
+    m, n = shape
+    data = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), next(primes))
+             for _ in range(n)] for _ in range(m)]
+    if case == "zero_lines":
+        data[rng.randrange(m)] = [Fraction(0)] * n
+        j = rng.randrange(n)
+        for row in data:
+            row[j] = Fraction(0)
+    elif case == "zero_operand":
+        data = [[Fraction(0)] * n for _ in range(m)]
+    return from_rows(data)
+
+
+# (shape of A, shape of B): nested, coprime and non-square inner sizes
+ADVERSARIAL_PRODUCTS = (((4, 4), (6, 6)), ((3, 5), (7, 2)), ((2, 6), (4, 3)), ((5, 5), (5, 5)))
+ADVERSARIAL_PAIRS = (((4, 4), (6, 6)), ((2, 3), (4, 6)), ((5, 5), (3, 3)))
+
+
+@pytest.mark.parametrize("case", ["distinct_primes", "zero_lines", "zero_operand"])
+def test_products_and_inner_with_adversarial_denominators(case):
+    rng = random.Random(137)
+    primes = _primes_from(10**4)
+    for shapes, ops in ((ADVERSARIAL_PRODUCTS, "products"), (ADVERSARIAL_PAIRS, "inner")):
+        for sa, sb in shapes:
+            plain_a = _adversarial("distinct_primes", rng, sa, primes)
+            plain_b = _adversarial("distinct_primes", rng, sb, primes)
+            for X, Y in ((plain_a, _adversarial(case, rng, sb, primes)),
+                         (_adversarial(case, rng, sa, primes), plain_b)):
+                if ops == "products":
+                    assert ltimes(X, Y) == ref_ltimes(X, Y)
+                    assert rtimes(X, Y) == ref_rtimes(X, Y)
+                else:
+                    got = inner(MatrixClass(ratio_of(X), X), MatrixClass(ratio_of(Y), Y))
+                    assert type(got) is Fraction and got == ref_inner(X, Y)
+
+
+# --- size budget --------------------------------------------------------
+
+def test_size_budget_rejects_oversized_product_before_allocating():
+    # t = lcm(997, 991) = 988027; the result would be 49550 x 49850
+    A = from_rows([[1] * 997] * 50)
+    B = from_rows([[1] * 50] * 991)
+    for op in (ltimes, rtimes):
+        before = allocated_elems()
+        with pytest.raises(ValueError, match="budget"):
+            op(A, B)
+        assert allocated_elems() == before
+
+
+def test_size_budget_covers_sums(monkeypatch):
+    rng = random.Random(139)
+    A, B = rand_matrix(rng, 4, 4), rand_matrix(rng, 9, 9)
+    monkeypatch.setattr(semitensor.stp, "_MAX_ENTRIES", 36 * 36 - 1)
+    for op in (lplus, rplus, lminus, rminus):
+        with pytest.raises(ValueError, match="budget"):
+            op(A, B)
+    monkeypatch.setattr(semitensor.stp, "_MAX_ENTRIES", 36 * 36)
+    assert lplus(A, B) == ref_lplus(A, B)
+
+
+# --- float mode ---------------------------------------------------------
+
+finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+nonzero_floats = finite_floats.filter(lambda v: v != 0.0)
+
+
+@st.composite
+def float_matrices(draw, rows=None, cols=None, entries=finite_floats):
+    m = rows if rows is not None else draw(st.integers(1, 4))
+    n = cols if cols is not None else draw(st.integers(1, 4))
+    data = draw(st.lists(entries, min_size=m * n, max_size=m * n))
+    return Matrix(m, n, tuple(data), FLOAT64)
+
+
+@given(float_matrices(), float_matrices())
+def test_float_products_match_references_bit_for_bit(A, B):
+    assert repr(ltimes(A, B)) == repr(ref_ltimes(A, B))
+    assert repr(rtimes(A, B)) == repr(ref_rtimes(A, B))
+
+
+@st.composite
+def float_pairs_same_ratio(draw):
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return draw(float_matrices(s * p, s * q)), draw(float_matrices(t * p, t * q))
+
+
+@given(float_pairs_same_ratio())
+def test_float_inner_matches_reference_bit_for_bit(pair):
+    A, B = pair
+    x, y = MatrixClass(ratio_of(A), A), MatrixClass(ratio_of(B), B)
+    assert repr(inner(x, y)) == repr(ref_inner(A, B))
+
+
+@given(float_matrices(entries=nonzero_floats), st.integers(2, 4))
+def test_float_canonicalize_recovers_all_nonzero_matrix(A, s):
+    # no entry of A is zero, so no block of A is a multiple of an identity
+    assert canonicalize(kron(A, identity(s, FLOAT64)), rtol=0).rep == A

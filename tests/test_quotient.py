@@ -1,5 +1,6 @@
 """Canonicalization, equivalence and class arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import matrices
-from helpers import as_matrix, rand_matrix
+from helpers import as_matrix, rand_matrix, ref_try_unkron
 
 from semitensor import (
+    Matrix,
     eq_within,
     from_rows,
     canonicalize,
@@ -216,3 +218,84 @@ def test_float_mode_tolerance_dependence():
     noisy = from_rows([[2.0, 1e-16], [0.0, 2.0]], FLOAT64)
     assert canonicalize(noisy).rep.shape == (1, 1)
     assert canonicalize(noisy, rtol=0.0).rep.shape == (2, 2)
+
+
+def _lift_entries(A: Matrix, s: int) -> list:
+    """Entries of A x I_s with literal zeros, so that a NaN or an infinity
+    in A does not spread into the off-diagonal positions as it would
+    through kron's a * 0."""
+    zero = Fraction(0) if A.scalar != FLOAT64 else 0.0
+    return [
+        A.entry(r // s, c // s) if r % s == c % s else zero
+        for r in range(A.rows * s)
+        for c in range(A.cols * s)
+    ]
+
+
+def _with(A: Matrix, rows: int, cols: int, data: list, pos: int, value) -> Matrix:
+    data = list(data)
+    data[pos] = value
+    return Matrix(rows, cols, tuple(data), A.scalar)
+
+
+def _peel_cases(A: Matrix, s: int, eps):
+    """The lift of A by s, and near-lifts of it: an off-diagonal entry of a
+    random block made nonzero, and a diagonal entry of the last block
+    moved by eps (a relative amount in float mode)."""
+    rows, cols = A.rows * s, A.cols * s
+    data = _lift_entries(A, s)
+    yield Matrix(rows, cols, tuple(data), A.scalar)
+    for i, j in ((0, 0), (A.rows - 1, A.cols - 1), (A.rows // 2, A.cols - 1)):
+        a, b = 0, s - 1
+        yield _with(A, rows, cols, data, (i * s + a) * cols + j * s + b, eps)
+        yield _with(A, rows, cols, data, (i * s + b) * cols + j * s + a, eps)
+    last = (rows - 1) * cols + cols - 1
+    d = data[last]
+    yield _with(A, rows, cols, data, last, d + eps * (abs(d) if A.scalar == FLOAT64 and d else 1))
+
+
+def _assert_peels_like_reference(A, rtols):
+    for s in range(1, 7):
+        for rtol in rtols:
+            got, want = try_unkron(A, s, rtol), ref_try_unkron(A, s, rtol)
+            assert repr(got) == repr(want), (A, s, rtol)
+
+
+def test_try_unkron_matches_reference_exact():
+    rng = random.Random(127)
+    peeled = 0
+    for _ in range(40):
+        A = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+        for s in (2, 3, 4, 5):
+            for L in _peel_cases(A, s, Fraction(1, 7)):
+                _assert_peels_like_reference(L, (None,))
+                peeled += try_unkron(L, s) is not None
+    assert peeled >= 40  # the exact lifts (at least) peel
+
+
+def test_try_unkron_matches_reference_float():
+    rng = random.Random(131)
+    specials = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300)
+    rtols = (0.0, None)
+    peeled = dict.fromkeys(rtols, 0)
+    for _ in range(40):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        data = [rng.choice((rng.uniform(-4, 4),) * 3 + specials) for _ in range(m * n)]
+        A = Matrix(m, n, tuple(data), FLOAT64)
+        for s in (2, 3, 5):
+            for eps in (1e-12, 1e-3, -0.0):
+                for L in _peel_cases(A, s, eps):
+                    _assert_peels_like_reference(L, rtols)
+                    for rtol in rtols:
+                        peeled[rtol] += try_unkron(L, s, rtol) is not None
+    assert all(count >= 40 for count in peeled.values())
+
+
+def test_float_peel_keeps_nan_and_signed_zero_rules():
+    nan_lift = Matrix(2, 2, (math.nan, 0.0, 0.0, math.nan), FLOAT64)
+    assert try_unkron(nan_lift, 2, 0.0) is None
+    signed = Matrix(2, 2, (-0.0, 0.0, -0.0, 0.0), FLOAT64)
+    assert try_unkron(signed, 2, 0.0) == Matrix(1, 1, (-0.0,), FLOAT64)
+    inf_lift = Matrix(2, 2, (math.inf, 0.0, 0.0, math.inf), FLOAT64)
+    assert try_unkron(inf_lift, 2, 0.0) == Matrix(1, 1, (math.inf,), FLOAT64)
+    assert try_unkron(inf_lift, 2) is None  # inf - inf is NaN under a tolerance
