@@ -124,13 +124,9 @@ def gcd_chain(i: int, j1: int, j2: int | None = None) -> GcdChain:
         raise ValueError(f"need 1 <= j1 <= i, got j1={j1}, i={i}")
     if j2 is not None and not (j1 < j2 <= i):
         raise ValueError(f"need j1 < j2 <= i, got j1={j1}, j2={j2}, i={i}")
-    if j2 is None:
-        f = _chain(i, (j1,))
-        g = _chain(i, (j1 - 1,)) if j1 > 1 else []
-    else:
-        f = _chain(i, (j1, j2))
-        g = _chain(i, (j1 - 1, j2 - 1)) if j1 > 1 else []
-    return GcdChain(tuple(f), tuple(g))
+    # gcd(i, j, j) = gcd(i, j), so the diagonal chain is the pair (j1, j1)
+    hi = j1 if j2 is None else j2
+    return GcdChain(tuple(_chain(i, (j1, hi))), tuple(_chain(i, (j1 - 1, hi - 1))))
 
 
 def decompose_unit(mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> Coordinates:
@@ -146,25 +142,28 @@ def decompose_unit(mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> Co
     p, q = mu.numerator, mu.denominator
     if not (1 <= k <= p and 1 <= l <= q and 1 <= j1 <= i and 1 <= j2 <= i):
         raise ValueError(f"indices (k={k}, l={l}, i={i}, j1={j1}, j2={j2}) out of range")
+    return Coordinates(mu, {
+        BasisElement(mu, k, l, size, a, b): Fraction(c)
+        for (size, a, b), c in _telescope(i, j1, j2).items()
+    })
 
+
+def _telescope(i: int, j1: int, j2: int) -> dict[tuple[int, int, int], int]:
+    # Nonzero coefficients of the unit E(i x i; j1, j2) over the coprime
+    # units, keyed by (size, j1, j2): the chains of gcd_chain, unchecked.
     if gcd(i, j1, j2) == 1:  # gcd(i, j1) == 1 on the diagonal
-        return Coordinates(mu, {BasisElement(mu, k, l, i, j1, j2): Fraction(1)})
+        return {(i, j1, j2): 1}
     lo, hi = min(j1, j2), max(j1, j2)
-    chain = gcd_chain(i, j1) if j1 == j2 else gcd_chain(i, lo, hi)
-    swapped = j1 > j2
-
     acc: dict[tuple[int, int, int], int] = {}
-    for steps, start_lo, start_hi, sign in ((chain.f, lo, hi, 1), (chain.g, lo - 1, hi - 1, -1)):
+    for start_lo, start_hi, sign in ((lo, hi, 1), (lo - 1, hi - 1, -1)):
         pre = 0
-        for s in steps:
+        for s in _chain(i, (start_lo, start_hi)):
             x = (start_lo - pre) // s
             y = (start_hi - pre) // s
-            key = (i // s, y, x) if swapped else (i // s, x, y)
+            key = (i // s, y, x) if j1 > j2 else (i // s, x, y)
             acc[key] = acc.get(key, 0) + sign
             pre += s
-    return Coordinates(mu, {
-        BasisElement(mu, k, l, size, a, b): Fraction(c) for (size, a, b), c in acc.items() if c
-    })
+    return {key: c for key, c in acc.items() if c}
 
 
 def _coordinates(x: MatrixClass, expansions: dict) -> dict[tuple[int, ...], Fraction]:
@@ -181,8 +180,7 @@ def _coordinates(x: MatrixClass, expansions: dict) -> dict[tuple[int, ...], Frac
         l, j2 = divmod(big_j, k0)
         part = expansions.get((k0, j1, j2))
         if part is None:
-            unit = decompose_unit(Fraction(1), 1, 1, k0, j1 + 1, j2 + 1)
-            part = [((e.i, e.j1, e.j2), int(c)) for e, c in unit.terms.items()]
+            part = list(_telescope(k0, j1 + 1, j2 + 1).items())
             expansions[(k0, j1, j2)] = part
         for (i, b1, b2), c in part:
             key = (i, b1, b2, k + 1, l + 1)
@@ -283,6 +281,8 @@ def enumerate_basis(mu: Fraction, i_max: int) -> list[BasisElement]:
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     mu = Fraction(mu)
+    if mu <= 0:
+        raise ValueError(f"ratio must be positive, got {mu}")
     p, q = mu.numerator, mu.denominator
     out = []
     for i in range(1, i_max + 1):

@@ -1,9 +1,9 @@
 """Command-line surface: file-based matrix I/O over every operation.
 
 Inputs are JSON/CSV files or inline JSON array literals. Exit codes:
-0 success, 1 domain error (bad ratios, float reducibility ambiguity),
-2 parse/IO error; failures also print one machine-readable line
-{"error": code, "message": ...} on stderr.
+0 success, 1 domain error (bad ratios, float reducibility ambiguity, a
+result too large for binary64), 2 parse/IO error; failures also print
+one machine-readable line {"error": code, "message": ...} on stderr.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ TOL_ENV = "SEMITENSOR_TOL"
 
 
 class _ParseFailure(Exception):
-    pass
-
-
-class _DomainFailure(Exception):
     pass
 
 
@@ -96,7 +92,7 @@ def _to_class(A: Matrix, tol: float) -> MatrixClass:
         at_tol = canonicalize(A, rtol=tol)
         exact = canonicalize(A, rtol=0.0)
         if at_tol.rep.shape != exact.rep.shape:
-            raise _DomainFailure(
+            raise ValueError(
                 f"reducibility of this float matrix is ambiguous: exact "
                 f"comparison gives a {exact.rep.shape} representative but "
                 f"tolerance {tol} gives {at_tol.rep.shape}"
@@ -179,7 +175,7 @@ def _run(args) -> None:
     elif args.verb == "decompose":
         A = _load_matrix(args.a, args.scalar)
         if A.scalar != RATIONAL:
-            raise _DomainFailure("decompose needs exact-rational input; rationalize first")
+            raise ValueError("decompose needs exact-rational input; rationalize first")
         _emit(sio.dump_json(sio.coords_to_dict(decompose_class(canonicalize(A)))), args.out)
     elif args.verb == "reconstruct":
         try:
@@ -244,9 +240,7 @@ def main(argv=None) -> int:
         _run(args)
     except _ParseFailure as exc:
         return _fail("parse", str(exc), 2)
-    except _DomainFailure as exc:
-        return _fail("domain", str(exc), 1)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         return _fail("domain", str(exc), 1)
     return 0
 

@@ -113,8 +113,11 @@ def coords_from_dict(d: dict) -> Coordinates:
         raise ValueError(f"coordinates object missing field: {exc}") from exc
     terms = {}
     for t in raw:
-        e = BasisElement(mu, int(t["k"]), int(t["l"]), int(t["i"]), int(t["j1"]), int(t["j2"]))
-        coeff = Fraction(t["coeff"])
+        try:
+            e = BasisElement(mu, int(t["k"]), int(t["l"]), int(t["i"]), int(t["j1"]), int(t["j2"]))
+            coeff = Fraction(t["coeff"])
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad term {t} (missing field or zero denominator)") from exc
         if e in terms:
             raise ValueError(f"duplicate term {t}")
         if ("kind" in t) and t["kind"] != e.kind:

@@ -26,7 +26,7 @@ from math import lcm
 
 from .matrix import FLOAT64, Matrix, _require_same_kind, identity, kron
 from .quotient import MatrixClass, canonicalize, class_sub
-from .stp import _integers, _lift
+from .stp import _integers
 
 # Largest experiment index: the next fill exp(-2^9) is still a normal
 # binary64, exp(-2^10) underflows to zero.
@@ -36,10 +36,12 @@ N_MAX_LIMIT = 9
 def inner(x: MatrixClass, y: MatrixClass):
     """Pairing of two classes of one ratio, via lifts to a common size.
 
-    Only positions where both lifts are nonzero contribute. In float mode
-    each product enters the sum on its own (``math.fsum``); in exact mode
-    the rows of both representatives are scaled to integers, and each
-    lifted row's integer sum is divided by its two row scales once.
+    The lift factors sx and sy are coprime, so entry (i, j) of X meets Y
+    only if i = j (mod sy), at the lifted positions (i*sx + d, j*sx + d),
+    d < sx. Products of nonzero entries stream in row-major lifted order:
+    float mode sums them with ``math.fsum`` (whose overflow depends on
+    that order); exact mode scales the rows of both representatives to
+    integers and divides each lifted row's sum by its two row scales once.
     """
     if x.mu != y.mu:
         raise ValueError(f"classes live in different spaces: {x.mu} vs {y.mu}")
@@ -47,29 +49,27 @@ def inner(x: MatrixClass, y: MatrixClass):
     X, Y = x.rep, y.rep
     t = lcm(X.rows, Y.rows)
     sx, sy = t // X.rows, t // Y.rows
-    if x.scalar == FLOAT64:
-        lifts = _lift(X.data, X.rows, X.cols, sx), _lift(Y.data, Y.rows, Y.cols, sy)
-        return math.fsum(p for _, p in _overlap_products(*lifts))
-    (xs, x_scale), (ys, y_scale) = _integers(X), _integers(Y)
-    sums = [0] * t
-    for r, p in _overlap_products(_lift(xs, X.rows, X.cols, sx), _lift(ys, Y.rows, Y.cols, sy)):
-        sums[r] += p
+    exact = x.scalar != FLOAT64
+    if exact:
+        (xs, x_scale), (ys, y_scale) = _integers(X), _integers(Y)
+    else:
+        xs, ys = X.data, Y.data
+
+    def products(r):
+        i, d = divmod(r, sx)
+        x_row, y_row = i * X.cols, r // sy * Y.cols
+        for j in range(i % sy, X.cols, sy):
+            v, w = xs[x_row + j], ys[y_row + (j * sx + d) // sy]
+            if v and w:
+                yield v * w
+
+    if not exact:
+        return math.fsum(p for r in range(t) for p in products(r))
+    row_sums = ((r, sum(products(r))) for r in range(t))
     return sum(
-        (Fraction(n, x_scale[r // sx] * y_scale[r // sy]) for r, n in enumerate(sums) if n),
+        (Fraction(n, x_scale[r // sx] * y_scale[r // sy]) for r, n in row_sums if n),
         Fraction(0),
     )
-
-
-def _overlap_products(xs, ys):
-    # Both entry streams are in row-major order, so one merge pass finds
-    # the positions they share; yields (row, product) for each.
-    end = (math.inf, 0, None)
-    yr, yc, w = next(ys, end)
-    for r, c, v in xs:
-        while (yr, yc) < (r, c):
-            yr, yc, w = next(ys, end)
-        if yr == r and yc == c:
-            yield r, v * w
 
 
 def norm(x: MatrixClass) -> float:

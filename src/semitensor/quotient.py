@@ -10,6 +10,7 @@ the semi-tensor operations.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -40,34 +41,34 @@ def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
     holds iff every block is a scalar multiple of I_s. rtol applies only
     in float mode; rtol=0 forces exact float comparison.
 
-    In exact mode a block row is checked a row at a time: row i*s + a
-    must repeat row i*s's entries at columns 0, s, 2s, ... at columns a,
-    a + s, ..., and be zero everywhere else. Float mode compares entry
-    by entry through ``scalar_eq``, so NaN never matches itself.
+    A block row is checked a row at a time: row i*s + a must be zero at
+    every column off its stride (checked first, so a dense non-lift fails
+    at its first entry), and must repeat row i*s's entries at columns
+    0, s, 2s, ... at columns a, a + s, .... Exact mode compares whole
+    slices; float mode compares entry by entry through ``scalar_eq``, so
+    NaN never matches itself.
     """
     if s < 2 or A.rows % s or A.cols % s:
         return None
-    m, n = A.rows // s, A.cols // s
+    kind = A.scalar
+    if kind == RATIONAL:
+        nonzero, differ = any, operator.ne
+    else:
+        def nonzero(got):
+            return not all(scalar_eq(v, 0.0, kind, rtol) for v in got)
+
+        def differ(got, want):
+            return not all(scalar_eq(v, w, kind, rtol) for v, w in zip(got, want))
+
     vals = []
-    if A.scalar == RATIONAL:
-        for i in range(m):
-            diag = A.row(i * s)[::s]
-            for a in range(s):
-                row = A.row(i * s + a)
-                if row[a::s] != diag or any(any(row[b::s]) for b in range(s) if b != a):
-                    return None
-            vals += diag
-        return Matrix(m, n, tuple(vals), RATIONAL)
-    for i in range(m):
-        for j in range(n):
-            d = A.entry(i * s, j * s)
-            for a in range(s):
-                base = (i * s + a) * A.cols + j * s
-                for b in range(s):
-                    if not scalar_eq(A.data[base + b], d if a == b else 0.0, A.scalar, rtol):
-                        return None
-            vals.append(d)
-    return Matrix(m, n, tuple(vals), A.scalar)
+    for i in range(A.rows // s):
+        diag = A.row(i * s)[::s]
+        for a in range(s):
+            row = A.row(i * s + a)
+            if any(nonzero(row[b::s]) for b in range(s) if b != a) or differ(row[a::s], diag):
+                return None
+        vals += diag
+    return Matrix(A.rows // s, A.cols // s, tuple(vals), kind)
 
 
 def is_reducible(A: Matrix, rtol: float | None = None) -> tuple[bool, int | None]:

@@ -7,10 +7,12 @@ ratio and lifts to the lcm of the row counts.
 
 No lift is ever built. ``_lift`` lists the nonzero entries of A x I_s
 (a diagonal run of s entries per entry of A) or of I_s x A (s
-block-diagonal copies of A), and every operation that lifts, here and in
-the quotient, metric and basis modules, works from that list and
-allocates only its result. Exact mode agrees bit for bit with the
-Kronecker-built definitions, which the test suite keeps as references.
+block-diagonal copies of A); the products, sums and differences here and
+``basis.reconstruct`` work from that list and allocate only their result.
+The pairing in the metric module needs no list: its two lift factors are
+coprime, so it computes the positions the lifts share. Exact mode agrees
+bit for bit with the Kronecker-built definitions, which the test suite
+keeps as references.
 
 In exact mode a product does its arithmetic on Python ints: each row of
 A is scaled by the lcm of that row's denominators and each column of B

@@ -228,6 +228,12 @@ def test_enumerate_basis_examples():
     assert got == [(1, 1, 1), (1, 2, 1)]
 
 
+@pytest.mark.parametrize("mu", [Fraction(0), Fraction(-1, 2)])
+def test_enumerate_basis_rejects_nonpositive_ratio(mu):
+    with pytest.raises(ValueError):
+        enumerate_basis(mu, 2)
+
+
 @pytest.mark.parametrize("mu", [Fraction(1), Fraction(1, 2), Fraction(2, 3)])
 def test_span_and_rank_match_lifted_references(mu):
     # coordinate elimination against rank of the lcm lifts, on families of

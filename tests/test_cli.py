@@ -138,6 +138,29 @@ def test_overflowed_result_is_domain_error(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+@pytest.mark.parametrize("argv, term, status, error", [
+    pytest.param(("--scalar", "float64", "inner", "[[1e154,1e154,1e154]]",
+                  "[[1.5e154,1.5e154,-1.5e154]]"), None, 1, "domain", id="fsum_overflow"),
+    pytest.param(("dist", "[[1" + "0" * 200 + "]]", "[[0]]"), None, 1, "domain",
+                 id="exact_norm_overflow"),
+    pytest.param(("reconstruct",), {"coeff": "1/0"}, 2, "parse", id="zero_denominator"),
+    pytest.param(("reconstruct",), {}, 2, "parse", id="missing_coeff"),
+    pytest.param(("basis-list", "--mu", "0", "--imax", "2"), None, 1, "domain", id="zero_mu"),
+    pytest.param(("basis-list", "--mu=-1/2", "--imax", "2"), None, 1, "domain",
+                 id="negative_mu"),
+])
+def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, error):
+    if term is not None:
+        path = tmp_path / "coords.json"
+        full = {"kind": "D", "k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1, **term}
+        path.write_text(json.dumps({"mu": "1", "terms": [full]}))
+        argv += (str(path),)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (status, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+
+
 def test_oversized_result_is_domain_error(capsys):
     # t = lcm(997, 991) = 988027: a 49550 x 49850 product, over the size budget
     a, b = json.dumps([[1] * 997] * 50), json.dumps([[1] * 50] * 991)

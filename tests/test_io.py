@@ -80,6 +80,13 @@ def test_coords_round_trip():
         coords_from_dict(dup)
 
 
+@pytest.mark.parametrize("term", [{"coeff": "1/0"}, {}, {"coeff": "1", "k": None}])
+def test_coords_from_dict_rejects_bad_terms_with_value_error(term):
+    full = {"k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1, **term}
+    with pytest.raises(ValueError):
+        coords_from_dict({"mu": "1", "terms": [full]})
+
+
 def test_gap_csv():
     rows = [GapReport(1, 1, 2, 0.25, 0.25, 0.0)]
     text = gap_reports_to_csv(rows)

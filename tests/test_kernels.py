@@ -138,6 +138,24 @@ def test_inner_matches_reference_at_coprime_lifts(n, p):
     assert repr(inner(xf, yf)) == repr(ref_inner(Af, Bf))
 
 
+def test_float_inner_sums_products_in_row_major_lifted_order():
+    # The products are 1.5e308, 1.5e308 and -1.5e308 in row-major order of
+    # the lifts: summed in that order fsum overflows at its second term,
+    # summed in reverse it returns 1.5e308. Once within one row, once down
+    # the diagonal of a lift to three rows.
+    big = 1.5e154
+    for a, b in (
+        ([[1e154, 1e154, 1e154]], [[big, big, -big]]),
+        ([[1e154]], [[big, 0, 0], [0, big, 0], [0, 0, -big]]),
+    ):
+        A, B = from_rows(a, FLOAT64), from_rows(b, FLOAT64)
+        x, y = MatrixClass(ratio_of(A), A), MatrixClass(ratio_of(B), B)
+        with pytest.raises(OverflowError):
+            ref_inner(A, B)
+        with pytest.raises(OverflowError):
+            inner(x, y)
+
+
 # --- adversarial denominators -------------------------------------------
 
 def _primes_from(start):
