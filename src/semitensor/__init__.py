@@ -6,18 +6,13 @@ from .matrix import (
     FLOAT64,
     RATIONAL,
     Matrix,
-    add,
     allocated_elems,
     e_matrix,
     eq_within,
-    frobenius_inner,
     from_rows,
     identity,
     kron,
-    matmul,
-    neg,
     scale,
-    sub,
     to_float,
     to_rational,
     zeros,

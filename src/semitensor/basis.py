@@ -24,6 +24,10 @@ from .matrix import RATIONAL, Matrix, e_matrix, kron
 from .quotient import MatrixClass, canonicalize, zero_class
 from .stp import _sum_lifts
 
+# Largest listing enumerate_basis builds, as its bound p*q*sum(i^2) on the
+# element count; checked before anything is built (ValueError above it).
+_MAX_ELEMENTS = 5 * 10**5
+
 
 @dataclass(frozen=True)
 class BasisElement:
@@ -284,6 +288,11 @@ def enumerate_basis(mu: Fraction, i_max: int) -> list[BasisElement]:
     if mu <= 0:
         raise ValueError(f"ratio must be positive, got {mu}")
     p, q = mu.numerator, mu.denominator
+    bound = p * q * i_max * (i_max + 1) * (2 * i_max + 1) // 6
+    if bound > _MAX_ELEMENTS:
+        raise ValueError(
+            f"up to {bound} basis elements for i_max={i_max}, over the budget of {_MAX_ELEMENTS}"
+        )
     out = []
     for i in range(1, i_max + 1):
         for j1 in range(1, i + 1):

@@ -9,6 +9,7 @@ one machine-readable line {"error": code, "message": ...} on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,14 +39,19 @@ class _ParseFailure(Exception):
     pass
 
 
-def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV)
-    if raw is None:
-        return DEFAULT_RTOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise _ParseFailure(f"bad {TOL_ENV} value {raw!r}") from exc
+def _resolve_tol(flag: float | None) -> float:
+    """--tol, else SEMITENSOR_TOL (read on every call), else the default.
+    A tolerance that is not finite or is negative is a parse error."""
+    tol = flag
+    if tol is None:
+        raw = os.environ.get(TOL_ENV)
+        try:
+            tol = DEFAULT_RTOL if raw is None else float(raw)
+        except ValueError as exc:
+            raise _ParseFailure(f"bad {TOL_ENV} value {raw!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise _ParseFailure(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _load_matrix(arg: str, scalar: str) -> Matrix:
@@ -59,7 +65,7 @@ def _load_matrix(arg: str, scalar: str) -> Matrix:
         else:
             text = Path(arg).read_text()
             if text.lstrip().startswith("{"):
-                A = sio.matrix_from_dict(sio.load_json(text))
+                A = sio.matrix_from_dict(json.loads(text))
             else:
                 A = sio.matrix_from_csv(text, scalar)
     except (OSError, ValueError, TypeError, ZeroDivisionError, json.JSONDecodeError) as exc:
@@ -107,6 +113,7 @@ def _scalar_json(v) -> dict:
     return {"value": v}
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="semitensor",
@@ -153,65 +160,56 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> None:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _resolve_tol(args.tol)
+    verb = args.verb
 
-    if args.verb == "stp":
-        A = _load_matrix(args.a, args.scalar)
-        B = _load_matrix(args.b, args.scalar)
-        _emit_matrix(rtimes(A, B) if args.right else ltimes(A, B), args)
-    elif args.verb == "sta":
-        A = _load_matrix(args.a, args.scalar)
-        B = _load_matrix(args.b, args.scalar)
-        op = (rminus if args.minus else rplus) if args.right else (lminus if args.minus else lplus)
+    if verb in ("stp", "sta", "equiv"):
+        A, B = (_load_matrix(m, args.scalar) for m in (args.a, args.b))
+        if verb == "equiv":
+            rtol = tol if A.scalar == FLOAT64 else None
+            _emit(sio.dump_json({"equivalent": equivalent(A, B, rtol)}), args.out)
+            return
+        if verb == "stp":
+            op = rtimes if args.right else ltimes
+        elif args.right:
+            op = rminus if args.minus else rplus
+        else:
+            op = lminus if args.minus else lplus
         _emit_matrix(op(A, B), args)
-    elif args.verb == "canon":
+    elif verb in ("bracket", "inner", "dist"):
+        x, y = (_to_class(_load_matrix(m, args.scalar), tol) for m in (args.a, args.b))
+        if verb == "bracket":
+            result = sio.class_to_dict(lie_bracket(x, y))
+        else:
+            result = _scalar_json((inner if verb == "inner" else dist)(x, y))
+        _emit(sio.dump_json(result), args.out)
+    elif verb == "canon":
         x = _to_class(_load_matrix(args.a, args.scalar), tol)
         _emit(sio.dump_json(sio.class_to_dict(x)), args.out)
-    elif args.verb == "equiv":
-        A = _load_matrix(args.a, args.scalar)
-        B = _load_matrix(args.b, args.scalar)
-        rtol = tol if A.scalar == FLOAT64 else None
-        _emit(sio.dump_json({"equivalent": equivalent(A, B, rtol)}), args.out)
-    elif args.verb == "decompose":
+    elif verb == "decompose":
         A = _load_matrix(args.a, args.scalar)
         if A.scalar != RATIONAL:
             raise ValueError("decompose needs exact-rational input; rationalize first")
         _emit(sio.dump_json(sio.coords_to_dict(decompose_class(canonicalize(A)))), args.out)
-    elif args.verb == "reconstruct":
+    elif verb == "reconstruct":
         try:
-            coords = sio.coords_from_dict(sio.load_json(Path(args.coords).read_text()))
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+            coords = sio.coords_from_dict(json.loads(Path(args.coords).read_text()))
+        except (OSError, ValueError, TypeError) as exc:
             raise _ParseFailure(f"cannot read coordinates from {args.coords!r}: {exc}") from exc
         _emit(sio.dump_json(sio.class_to_dict(reconstruct(coords))), args.out)
-    elif args.verb == "bracket":
-        x = _to_class(_load_matrix(args.a, args.scalar), tol)
-        y = _to_class(_load_matrix(args.b, args.scalar), tol)
-        _emit(sio.dump_json(sio.class_to_dict(lie_bracket(x, y))), args.out)
-    elif args.verb == "inner":
-        x = _to_class(_load_matrix(args.a, args.scalar), tol)
-        y = _to_class(_load_matrix(args.b, args.scalar), tol)
-        _emit(sio.dump_json(_scalar_json(inner(x, y))), args.out)
-    elif args.verb == "dist":
-        x = _to_class(_load_matrix(args.a, args.scalar), tol)
-        y = _to_class(_load_matrix(args.b, args.scalar), tol)
-        _emit(sio.dump_json({"value": dist(x, y)}), args.out)
-    elif args.verb == "cauchy":
-        A1 = _load_matrix(args.a1, FLOAT64)
-        cfg = CauchyConfig(A1, args.nmax)
-        seq = cauchy_sequence(cfg)
+    elif verb == "cauchy":
+        seq = cauchy_sequence(CauchyConfig(_load_matrix(args.a1, FLOAT64), args.nmax))
         _emit(sio.gap_reports_to_csv(gap_reports(seq)), args.out)
         for m in range(1, len(seq) - 1):
             values = nonconvergence_probe(seq, m)
             floor = fill_value(m + 1)
-            ok = all(v > floor for v in values) and all(
-                a <= b for a, b in zip(values, values[1:])
-            )
+            nondecreasing = all(a <= b for a, b in zip(values, values[1:]))
+            ok = nondecreasing and all(v > floor for v in values)
             sys.stdout.write(
                 f"probe m={m}: min_dist={min(values):.6g} floor={floor:.6g} "
-                f"nondecreasing={all(a <= b for a, b in zip(values, values[1:]))} "
-                f"{'ok' if ok else 'VIOLATED'}\n"
+                f"nondecreasing={nondecreasing} {'ok' if ok else 'VIOLATED'}\n"
             )
-    elif args.verb == "basis-list":
+    else:  # basis-list; argparse enforces the verb set
         try:
             mu = Fraction(args.mu)
         except (ValueError, ZeroDivisionError) as exc:
@@ -225,8 +223,6 @@ def _run(args) -> None:
                 for e in elems
             ],
         }), args.out)
-    else:  # pragma: no cover - argparse enforces the verb set
-        raise _ParseFailure(f"unknown verb {args.verb!r}")
 
 
 def _fail(code: str, message: str, status: int) -> int:

@@ -3,15 +3,18 @@
 Matrix JSON: {"rows": m, "cols": n, "scalar": "rational"|"float64",
 "data": [row-major entries]} with rationals as "num/den" strings (plain
 integers are accepted on input). CSV holds one matrix row per line.
+Every entry, coefficient and ratio read goes through ``matrix.as_scalar``,
+so a float is never taken as a rational; shape and index fields must be
+JSON integers.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import operator
 
 from .basis import BasisElement, Coordinates
-from .matrix import FLOAT64, RATIONAL, Matrix
+from .matrix import FLOAT64, RATIONAL, Matrix, as_scalar, from_rows
 from .metric import GapReport
 from .quotient import MatrixClass
 
@@ -22,12 +25,12 @@ def format_entry(v, kind: str):
     return float(v)
 
 
-def parse_entry(v, kind: str):
-    if kind == RATIONAL:
-        if isinstance(v, float):
-            raise ValueError(f"rational data must be integers or 'num/den' strings, got {v!r}")
-        return Fraction(v)
-    return float(v)
+def _integer(value, name: str) -> int:
+    """A shape or index field, which must be a JSON integer."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from exc
 
 
 def matrix_to_dict(A: Matrix) -> dict:
@@ -46,8 +49,8 @@ def matrix_from_dict(d: dict) -> Matrix:
         raise ValueError(f"matrix object missing field: {exc}") from exc
     if scalar not in (RATIONAL, FLOAT64):
         raise ValueError(f"unknown scalar kind {scalar!r}")
-    entries = tuple(parse_entry(v, scalar) for v in data)
-    return Matrix(int(rows), int(cols), entries, scalar)
+    entries = tuple(as_scalar(v, scalar) for v in data)
+    return Matrix(_integer(rows, "rows"), _integer(cols, "cols"), entries, scalar)
 
 
 def matrix_to_csv(A: Matrix) -> str:
@@ -56,20 +59,7 @@ def matrix_to_csv(A: Matrix) -> str:
 
 
 def matrix_from_csv(text: str, scalar: str = RATIONAL) -> Matrix:
-    rows = []
-    for line in text.strip().splitlines():
-        cells = [c.strip() for c in line.split(",")]
-        if scalar == RATIONAL:
-            rows.append([Fraction(c) for c in cells])
-        else:
-            rows.append([float(c) for c in cells])
-    if not rows:
-        raise ValueError("empty CSV matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged CSV rows")
-    data = tuple(v for r in rows for v in r)
-    return Matrix(len(rows), width, data, scalar)
+    return from_rows([line.split(",") for line in text.strip().splitlines()], scalar)
 
 
 def class_to_dict(x: MatrixClass) -> dict:
@@ -78,12 +68,12 @@ def class_to_dict(x: MatrixClass) -> dict:
 
 def class_from_dict(d: dict) -> MatrixClass:
     try:
-        mu = Fraction(d["mu"])
+        mu = as_scalar(d["mu"], RATIONAL)
         rep = matrix_from_dict(d["rep"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"class object missing field: {exc}") from exc
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"class object missing field or zero denominator: {exc}") from exc
     cls = MatrixClass(mu, rep)
-    if "k0" in d and int(d["k0"]) != cls.k0:
+    if "k0" in d and _integer(d["k0"], "k0") != cls.k0:
         raise ValueError(f"stated k0={d['k0']} disagrees with rep shape {rep.shape}")
     return cls
 
@@ -107,15 +97,15 @@ def coords_to_dict(c: Coordinates) -> dict:
 
 def coords_from_dict(d: dict) -> Coordinates:
     try:
-        mu = Fraction(d["mu"])
+        mu = as_scalar(d["mu"], RATIONAL)
         raw = d["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"coordinates object missing field: {exc}") from exc
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"coordinates object missing field or zero denominator: {exc}") from exc
     terms = {}
     for t in raw:
         try:
-            e = BasisElement(mu, int(t["k"]), int(t["l"]), int(t["i"]), int(t["j1"]), int(t["j2"]))
-            coeff = Fraction(t["coeff"])
+            e = BasisElement(mu, *(_integer(t[key], key) for key in ("k", "l", "i", "j1", "j2")))
+            coeff = as_scalar(t["coeff"], RATIONAL)
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"bad term {t} (missing field or zero denominator)") from exc
         if e in terms:
@@ -142,7 +132,3 @@ def dump_json(obj: dict) -> str:
     """Strict JSON: a NaN or infinite float raises ValueError instead of
     printing the non-standard ``NaN``/``Infinity`` tokens."""
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
-def load_json(text: str) -> dict:
-    return json.loads(text)

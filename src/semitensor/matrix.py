@@ -8,7 +8,6 @@ floor. Every value is immutable, every operation is a pure function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -165,57 +164,9 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(m * p, n * q, tuple(out), A.scalar)
 
 
-def matmul(A: Matrix, B: Matrix) -> Matrix:
-    _require_same_kind(A, B)
-    if A.cols != B.rows:
-        raise ValueError(f"cannot multiply {A.shape} by {B.shape}")
-    m, n, q = A.rows, A.cols, B.cols
-    z = _zero(A.scalar)
-    out = [z] * (m * q)
-    for i in range(m):
-        arow = i * n
-        for k in range(n):
-            a = A.data[arow + k]
-            if a == 0:
-                continue
-            brow = k * q
-            crow = i * q
-            for j in range(q):
-                out[crow + j] += a * B.data[brow + j]
-    return Matrix(m, q, tuple(out), A.scalar)
-
-
-def add(A: Matrix, B: Matrix) -> Matrix:
-    _require_same_kind(A, B)
-    if A.shape != B.shape:
-        raise ValueError(f"cannot add {A.shape} and {B.shape}")
-    return Matrix(A.rows, A.cols, tuple(a + b for a, b in zip(A.data, B.data)), A.scalar)
-
-
-def sub(A: Matrix, B: Matrix) -> Matrix:
-    _require_same_kind(A, B)
-    if A.shape != B.shape:
-        raise ValueError(f"cannot subtract {A.shape} and {B.shape}")
-    return Matrix(A.rows, A.cols, tuple(a - b for a, b in zip(A.data, B.data)), A.scalar)
-
-
 def scale(c, A: Matrix) -> Matrix:
     c = as_scalar(c, A.scalar)
     return Matrix(A.rows, A.cols, tuple(c * v for v in A.data), A.scalar)
-
-
-def neg(A: Matrix) -> Matrix:
-    return Matrix(A.rows, A.cols, tuple(-v for v in A.data), A.scalar)
-
-
-def frobenius_inner(A: Matrix, B: Matrix) -> Scalar:
-    """Sum of entrywise products of two same-shape matrices."""
-    _require_same_kind(A, B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    if A.scalar == FLOAT64:
-        return math.fsum(a * b for a, b in zip(A.data, B.data))
-    return sum((a * b for a, b in zip(A.data, B.data)), Fraction(0))
 
 
 def eq_within(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:

@@ -1,30 +1,25 @@
 """Shared test utilities: an independent list-based oracle for the
-lifted-product definitions, Matrix-level references that build the
-identity lifts in full, an entry-by-entry peel check, span and rank
-checks by lcm lifts, and seeded random matrix generators.
+lifted-product definitions, plain Matrix arithmetic (``matmul``, ``add``,
+``sub``, ``frobenius_inner``) that the library itself does not
+need, Matrix-level references that build the identity lifts in full, an
+entry-by-entry peel check, span and rank checks by lcm lifts, and seeded
+random matrix generators.
 
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
 are genuinely dual-route. The ``ref_*`` references follow the
-definitions literally with the library's own ``kron``/``matmul``/``add``:
-they allocate the lifts the library never builds, which the allocation
-tests measure, and they work in both scalar kinds.
+definitions literally: the library's ``kron`` builds the lifts and the
+arithmetic below multiplies, adds and pairs them, so no library
+semi-tensor code is on the reference route. They allocate the lifts the
+library never builds, which the allocation tests measure, and they work
+in both scalar kinds.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import fsum, lcm
 
-from semitensor import (
-    Matrix,
-    RATIONAL,
-    add,
-    frobenius_inner,
-    from_rows,
-    identity,
-    kron,
-    matmul,
-)
-from semitensor.matrix import scalar_eq
+from semitensor import FLOAT64, Matrix, RATIONAL, from_rows, identity, kron
+from semitensor.matrix import _require_same_kind, _zero, scalar_eq
 
 
 # --- independent oracle on nested lists ---------------------------------
@@ -75,6 +70,52 @@ def o_lplus(A, B):
 def o_rplus(A, B):
     t = lcm(len(A), len(B))
     return o_add(o_kron(o_identity(t // len(A)), A), o_kron(o_identity(t // len(B)), B))
+
+
+# --- plain Matrix arithmetic ---------------------------------------------
+
+def matmul(A: Matrix, B: Matrix) -> Matrix:
+    _require_same_kind(A, B)
+    if A.cols != B.rows:
+        raise ValueError(f"cannot multiply {A.shape} by {B.shape}")
+    m, n, q = A.rows, A.cols, B.cols
+    z = _zero(A.scalar)
+    out = [z] * (m * q)
+    for i in range(m):
+        arow = i * n
+        for k in range(n):
+            a = A.data[arow + k]
+            if a == 0:
+                continue
+            brow = k * q
+            crow = i * q
+            for j in range(q):
+                out[crow + j] += a * B.data[brow + j]
+    return Matrix(m, q, tuple(out), A.scalar)
+
+
+def add(A: Matrix, B: Matrix) -> Matrix:
+    _require_same_kind(A, B)
+    if A.shape != B.shape:
+        raise ValueError(f"cannot add {A.shape} and {B.shape}")
+    return Matrix(A.rows, A.cols, tuple(a + b for a, b in zip(A.data, B.data)), A.scalar)
+
+
+def sub(A: Matrix, B: Matrix) -> Matrix:
+    _require_same_kind(A, B)
+    if A.shape != B.shape:
+        raise ValueError(f"cannot subtract {A.shape} and {B.shape}")
+    return Matrix(A.rows, A.cols, tuple(a - b for a, b in zip(A.data, B.data)), A.scalar)
+
+
+def frobenius_inner(A: Matrix, B: Matrix):
+    """Sum of entrywise products of two same-shape matrices."""
+    _require_same_kind(A, B)
+    if A.shape != B.shape:
+        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+    if A.scalar == FLOAT64:
+        return fsum(a * b for a, b in zip(A.data, B.data))
+    return sum((a * b for a, b in zip(A.data, B.data)), Fraction(0))
 
 
 # --- Kronecker-built references on Matrix ------------------------------

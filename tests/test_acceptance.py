@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from helpers import (
+    add,
+    matmul,
     o_lplus,
     o_ltimes,
     o_rplus,
@@ -48,7 +50,6 @@ from semitensor import (
     lminus,
     lplus,
     ltimes,
-    matmul,
     nonconvergence_probe,
     reconstruct,
     rminus,
@@ -61,7 +62,7 @@ from semitensor import (
     zero_class,
     zeros,
 )
-from semitensor.matrix import add, scale
+from semitensor.matrix import scale
 from semitensor.quotient import _prime_factors
 
 

@@ -6,7 +6,8 @@ from math import gcd
 
 import pytest
 
-from helpers import as_matrix, rand_matrix, ref_in_span, ref_independent
+import semitensor.basis
+from helpers import add, as_matrix, rand_matrix, ref_in_span, ref_independent
 
 from semitensor import (
     BasisElement,
@@ -29,7 +30,7 @@ from semitensor import (
     zero_class,
     zeros,
 )
-from semitensor.matrix import add, scale
+from semitensor.matrix import scale
 
 
 def test_basis_element_validation():
@@ -232,6 +233,20 @@ def test_enumerate_basis_examples():
 def test_enumerate_basis_rejects_nonpositive_ratio(mu):
     with pytest.raises(ValueError):
         enumerate_basis(mu, 2)
+
+
+def test_enumerate_basis_checks_size_before_building(monkeypatch):
+    # the bound p*q*(1 + 4 + ... + i_max^2) is checked before any element
+    # is built: i_max = 10^4 would be about 3*10^11 elements
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_basis(Fraction(1), 10**4)
+    assert len(enumerate_basis(Fraction(1), 80)) == 144408  # bound 173880
+    bound = 2 * (1 + 4 + 9)  # mu = 1/2, i_max = 3
+    monkeypatch.setattr(semitensor.basis, "_MAX_ELEMENTS", bound - 1)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_basis(Fraction(1, 2), 3)
+    monkeypatch.setattr(semitensor.basis, "_MAX_ELEMENTS", bound)
+    assert len(enumerate_basis(Fraction(1, 2), 3)) == 2 * (1 + 3 + 8)
 
 
 @pytest.mark.parametrize("mu", [Fraction(1), Fraction(1, 2), Fraction(2, 3)])

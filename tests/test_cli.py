@@ -9,7 +9,7 @@ import pytest
 from helpers import as_matrix
 
 from semitensor import canonicalize, decompose_class, ltimes
-from semitensor.cli import main
+from semitensor.cli import build_parser, main
 from semitensor.io import class_from_dict, coords_from_dict, matrix_from_dict
 
 
@@ -148,6 +148,10 @@ def test_overflowed_result_is_domain_error(capsys):
     pytest.param(("basis-list", "--mu", "0", "--imax", "2"), None, 1, "domain", id="zero_mu"),
     pytest.param(("basis-list", "--mu=-1/2", "--imax", "2"), None, 1, "domain",
                  id="negative_mu"),
+    pytest.param(("reconstruct",), {"coeff": 0.1}, 2, "parse", id="float_coeff"),
+    pytest.param(("reconstruct",), {"coeff": "1", "i": 1.9}, 2, "parse", id="float_index"),
+    pytest.param(("basis-list", "--mu", "1", "--imax", "10000"), None, 1, "domain",
+                 id="oversized_basis_list"),
 ])
 def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, error):
     if term is not None:
@@ -202,6 +206,44 @@ def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SEMITENSOR_TOL", "bogus")
     code, _, err = run(capsys, "--scalar", "float64", "canon", "[[1.0]]")
     assert code == 2
+
+
+@pytest.mark.parametrize("value, status", [
+    ("nan", 2), ("inf", 2), ("-inf", 2), ("-0.5", 2), ("0", 0), ("0.5", 0),
+])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_tol_must_be_finite_and_nonnegative(capsys, monkeypatch, source, value, status):
+    # [[1.0]] x I_2 is exactly I_2: every accepted tolerance says so
+    argv = ("--scalar", "float64", "equiv", "[[1.0]]", "[[1.0,0],[0,1.0]]")
+    if source == "flag":
+        argv = (f"--tol={value}",) + argv
+    else:
+        monkeypatch.setenv("SEMITENSOR_TOL", value)
+    code, out, err = run(capsys, *argv)
+    assert code == status
+    if status == 0:
+        assert json.loads(out) == {"equivalent": True}
+    else:
+        assert out == "" and json.loads(err)["error"] == "parse"
+
+
+def test_repeated_calls_share_one_parser_and_no_state(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "--format", "csv", "stp", "[[1,2]]", "[[3,4]]")
+    assert (code, out) == (0, "3,6,4,8\n")
+    code, out, _ = run(capsys, "stp", "[[1,2]]", "[[3,4]]")
+    assert code == 0 and json.loads(out)["data"] == ["3", "6", "4", "8"]
+    code, out, _ = run(capsys, "sta", "--minus", "[1]", "[[1,0],[0,2]]")
+    assert code == 0 and json.loads(out)["data"] == ["0", "0", "0", "-1"]
+    code, out, _ = run(capsys, "sta", "[1]", "[[1,0],[0,2]]")
+    assert code == 0 and json.loads(out)["data"] == ["2", "0", "0", "3"]
+    path = tmp_path / "c.json"
+    code, out, _ = run(capsys, "--out", str(path), "canon", "[[2,0],[0,2]]")
+    assert (code, out) == (0, "") and class_from_dict(json.loads(path.read_text())).k0 == 1
+    path.unlink()
+    code, out, _ = run(capsys, "canon", "[[2,0],[0,2]]")
+    assert code == 0 and class_from_dict(json.loads(out)).k0 == 1
+    assert not path.exists()
 
 
 def test_emitted_matrix_reparses_identically(capsys, tmp_path):

@@ -44,6 +44,10 @@ def test_matrix_json_schema():
     # float literals are not valid rational data
     with pytest.raises(ValueError):
         matrix_from_dict({"rows": 1, "cols": 1, "scalar": "rational", "data": [0.5]})
+    # shape fields are JSON integers, never truncated floats or strings
+    for rows in (2.7, 2.0, "2"):
+        with pytest.raises(ValueError):
+            matrix_from_dict({"rows": rows, "cols": 1, "scalar": "rational", "data": ["1", "2"]})
 
 
 def test_matrix_csv_round_trip():
@@ -62,9 +66,10 @@ def test_class_round_trip():
     d = class_to_dict(x)
     assert d["mu"] == "1" and d["k0"] == 2
     assert class_from_dict(d) == x
-    d["k0"] = 5
-    with pytest.raises(ValueError):
-        class_from_dict(d)
+    for k0 in (5, 2.0):
+        d["k0"] = k0
+        with pytest.raises(ValueError):
+            class_from_dict(d)
 
 
 def test_coords_round_trip():
@@ -78,9 +83,15 @@ def test_coords_round_trip():
     dup = {"mu": "1", "terms": d["terms"] + d["terms"]}
     with pytest.raises(ValueError):
         coords_from_dict(dup)
+    for mu in (1.0, "1/0"):
+        with pytest.raises(ValueError):
+            coords_from_dict({"mu": mu, "terms": d["terms"]})
 
 
-@pytest.mark.parametrize("term", [{"coeff": "1/0"}, {}, {"coeff": "1", "k": None}])
+@pytest.mark.parametrize("term", [
+    {"coeff": "1/0"}, {}, {"coeff": "1", "k": None},
+    {"coeff": 0.1}, {"coeff": "1", "i": 1.9}, {"coeff": "1", "j1": "1"}, {"coeff": "1", "l": 1.0},
+])
 def test_coords_from_dict_rejects_bad_terms_with_value_error(term):
     full = {"k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1, **term}
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     as_matrix,
+    matmul,
     rand_matrix,
     ref_inner,
     ref_lplus,
@@ -33,7 +34,6 @@ from semitensor import (
     lminus,
     lplus,
     ltimes,
-    matmul,
     ratio_of,
     rminus,
     rplus,

@@ -1,4 +1,5 @@
-"""Matrix core: Kronecker product, arithmetic, pairing, comparisons."""
+"""Matrix core: Kronecker product, comparisons, conversions; and the plain
+arithmetic and pairing in tests/helpers.py that the references rest on."""
 
 from fractions import Fraction
 
@@ -6,22 +7,18 @@ import pytest
 from hypothesis import given
 
 from conftest import matrices
-from helpers import as_matrix, o_kron
+from helpers import add, as_matrix, frobenius_inner, matmul, o_kron, sub
 
 from semitensor import (
     FLOAT64,
     RATIONAL,
     Matrix,
-    add,
     e_matrix,
     eq_within,
-    frobenius_inner,
     from_rows,
     identity,
     kron,
-    matmul,
     scale,
-    sub,
     to_float,
     to_rational,
     zeros,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 
 from conftest import matrices, matrix_pairs_same_ratio
-from helpers import as_matrix, o_lplus, o_ltimes, o_rplus, o_rtimes, rand_matrix
+from helpers import as_matrix, matmul, o_lplus, o_ltimes, o_rplus, o_rtimes, rand_matrix
 
 from semitensor import (
     equivalent,
@@ -17,7 +17,6 @@ from semitensor import (
     lminus,
     lplus,
     ltimes,
-    matmul,
     ratio_of,
     rminus,
     rplus,
