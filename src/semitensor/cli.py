@@ -39,6 +39,15 @@ class _ParseFailure(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a parse failure after the usage text, so
+    it ends in the same JSON error line as every other failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _ParseFailure(f"{self.prog}: {message}")
+
+
 def _resolve_tol(flag: float | None) -> float:
     """--tol, else SEMITENSOR_TOL (read on every call), else the default.
     A tolerance that is not finite or is negative is a parse error."""
@@ -115,7 +124,7 @@ def _scalar_json(v) -> dict:
 
 @functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="semitensor",
         description="Semi-tensor product/addition algebra on matrix quotient spaces.",
     )
@@ -231,9 +240,8 @@ def _fail(code: str, message: str, status: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _run(args)
+        _run(build_parser().parse_args(argv))
     except _ParseFailure as exc:
         return _fail("parse", str(exc), 2)
     except (ValueError, OverflowError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence, Union
 
 RATIONAL = "rational"
@@ -19,6 +20,9 @@ DEFAULT_RTOL = 1e-9
 ABS_FLOOR = 1e-15
 
 Scalar = Union[Fraction, float]
+
+# The entry type of each scalar kind.
+_KIND_TYPES = {RATIONAL: Fraction, FLOAT64: float}
 
 # Running count of matrix entries ever constructed. Purely test
 # instrumentation: lets the tests show that the lift-free semi-tensor
@@ -37,7 +41,8 @@ def as_scalar(value, kind: str) -> Scalar:
     if kind == RATIONAL:
         if isinstance(value, float):
             raise ValueError(
-                "refusing implicit float -> rational conversion; use to_rational()"
+                f"refusing implicit float -> rational conversion of {value!r}; write it "
+                'as a "num/den" string, or convert a float matrix with to_rational()'
             )
         return Fraction(value)
     if kind == FLOAT64:
@@ -72,14 +77,11 @@ class Matrix:
             raise ValueError(
                 f"data length {len(self.data)} != {self.rows}*{self.cols}"
             )
-        if self.scalar == RATIONAL:
-            if not all(isinstance(v, Fraction) for v in self.data):
-                raise ValueError("rational matrix entries must be Fraction")
-        elif self.scalar == FLOAT64:
-            if not all(isinstance(v, float) for v in self.data):
-                raise ValueError("float64 matrix entries must be float")
-        else:
+        kind_type = _KIND_TYPES.get(self.scalar)
+        if kind_type is None:
             raise ValueError(f"unknown scalar kind {self.scalar!r}")
+        if not all(map(isinstance, self.data, repeat(kind_type))):
+            raise ValueError(f"{self.scalar} matrix entries must be {kind_type.__name__}")
         global _alloc_elems
         _alloc_elems += self.rows * self.cols
 

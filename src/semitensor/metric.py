@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .matrix import FLOAT64, Matrix, _require_same_kind, identity, kron
+from .matrix import FLOAT64, Matrix, _require_same_kind
 from .quotient import MatrixClass, canonicalize, class_sub
-from .stp import _integers
+from .stp import _integers, _row_slices
 
 # Largest experiment index: the next fill exp(-2^9) is still a normal
 # binary64, exp(-2^10) underflows to zero.
@@ -38,10 +39,12 @@ def inner(x: MatrixClass, y: MatrixClass):
 
     The lift factors sx and sy are coprime, so entry (i, j) of X meets Y
     only if i = j (mod sy), at the lifted positions (i*sx + d, j*sx + d),
-    d < sx. Products of nonzero entries stream in row-major lifted order:
-    float mode sums them with ``math.fsum`` (whose overflow depends on
-    that order); exact mode scales the rows of both representatives to
-    integers and divides each lifted row's sum by its two row scales once.
+    d < sx. Each lifted row therefore pairs two strided slices, one of
+    X's row and one of Y's. Products of nonzero entries stream in
+    row-major lifted order: float mode sums them with ``math.fsum``
+    (whose overflow depends on that order); exact mode scales the rows of
+    both representatives to integers, sums each lifted row's integer
+    products and divides by its two row scales once.
     """
     if x.mu != y.mu:
         raise ValueError(f"classes live in different spaces: {x.mu} vs {y.mu}")
@@ -55,17 +58,21 @@ def inner(x: MatrixClass, y: MatrixClass):
     else:
         xs, ys = X.data, Y.data
 
-    def products(r):
-        i, d = divmod(r, sx)
-        x_row, y_row = i * X.cols, r // sy * Y.cols
-        for j in range(i % sy, X.cols, sy):
-            v, w = xs[x_row + j], ys[y_row + (j * sx + d) // sy]
-            if v and w:
-                yield v * w
+    def lifted_rows():
+        # Lifted row r = i*sx + d pairs X's row i at columns j = i mod sy,
+        # i mod sy + sy, ... with Y's row r // sy at columns
+        # (j*sx + d) // sy, stride sx.
+        for i in range(X.rows):
+            j0 = i % sy
+            a = xs[i * X.cols + j0 : (i + 1) * X.cols : sy]
+            for d in range(sx):
+                r = i * sx + d
+                y_row = r // sy * Y.cols
+                yield r, a, ys[y_row + (j0 * sx + d) // sy : y_row + Y.cols : sx]
 
     if not exact:
-        return math.fsum(p for r in range(t) for p in products(r))
-    row_sums = ((r, sum(products(r))) for r in range(t))
+        return math.fsum(v * w for _, a, b in lifted_rows() for v, w in zip(a, b) if v and w)
+    row_sums = ((r, sum(map(mul, a, b))) for r, a, b in lifted_rows())
     return sum(
         (Fraction(n, x_scale[r // sx] * y_scale[r // sy]) for r, n in row_sums if n),
         Fraction(0),
@@ -98,6 +105,16 @@ def delta_n(A: Matrix, n: int) -> Matrix:
     return Matrix(A.rows, A.cols, data, FLOAT64)
 
 
+def _lift_and_fill(A: Matrix, fill: float) -> Matrix:
+    # Every lifted row starts as fill and takes row i of A on its stride;
+    # the entries A x I_2 has off the stride are exactly the zeros filled.
+    data = [fill] * (4 * A.rows * A.cols)
+    for i in range(A.rows):
+        for sl in _row_slices(i, A.rows, A.cols, 2):
+            data[sl] = A.row(i)
+    return Matrix(2 * A.rows, 2 * A.cols, tuple(data), FLOAT64)
+
+
 @dataclass(frozen=True)
 class CauchyConfig:
     """Seed matrix and length for the experiment sequence."""
@@ -110,12 +127,18 @@ class CauchyConfig:
             raise ValueError("seed matrix must be float64")
         if any(v == 0.0 for v in self.a1.data):
             raise ValueError("seed matrix must have all entries nonzero")
+        if not all(map(math.isfinite, self.a1.data)):
+            raise ValueError("seed matrix must have all entries finite")
         if not (1 <= self.n_max <= N_MAX_LIMIT):
             raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {self.n_max}")
 
 
 def cauchy_sequence(cfg: CauchyConfig) -> list[MatrixClass]:
     """Classes of A_1, ..., A_{n_max} with A_n = fill_n(A_{n-1} x I_2).
+
+    Each step builds A_{n-1} x I_2 row by row and fills it in the same
+    pass; since A_{n-1} is finite with no zero entry, this equals
+    ``delta_n(kron(A_{n-1}, identity(2)), n)`` bit for bit.
 
     Every A_n has all entries nonzero, hence is irreducible; classes are
     built with exact float comparisons (rtol=0) because the fills drop
@@ -126,7 +149,7 @@ def cauchy_sequence(cfg: CauchyConfig) -> list[MatrixClass]:
     A = cfg.a1
     for n in range(1, cfg.n_max + 1):
         if n > 1:
-            A = delta_n(kron(A, identity(2, FLOAT64)), n)
+            A = _lift_and_fill(A, fill_value(n))
         cls = canonicalize(A, rtol=0.0)
         if cls.rep.shape != A.shape:
             raise AssertionError(f"A_{n} unexpectedly reducible")

@@ -7,12 +7,17 @@ ratio and lifts to the lcm of the row counts.
 
 No lift is ever built. ``_lift`` lists the nonzero entries of A x I_s
 (a diagonal run of s entries per entry of A) or of I_s x A (s
-block-diagonal copies of A); the products, sums and differences here and
-``basis.reconstruct`` work from that list and allocate only their result.
-The pairing in the metric module needs no list: its two lift factors are
-coprime, so it computes the positions the lifts share. Exact mode agrees
-bit for bit with the Kronecker-built definitions, which the test suite
-keeps as references.
+block-diagonal copies of A), and the products work from that list.
+Sums and differences here and in ``basis.reconstruct`` work by rows
+instead: ``_row_slices`` says where row i of A lands in a lift, as one
+slice of each of s lifted rows (columns d, d + s, ... of row i*s + d on
+the left; columns b*n ... b*n + n - 1 of row b*m + i on the right), and
+each nonzero row is added into its slices in one step apiece. The
+Cauchy experiment in the metric module builds its lifts by the same
+rule, and the pairing there reads both lifts as strided row slices.
+Everything allocates only its result. Exact mode agrees bit for bit
+with the Kronecker-built definitions, which the test suite keeps as
+references.
 
 In exact mode a product does its arithmetic on Python ints: each row of
 A is scaled by the lcm of that row's denominators and each column of B
@@ -28,6 +33,7 @@ anything is allocated; a larger result raises ``ValueError``.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -51,19 +57,17 @@ def _check_budget(rows: int, cols: int) -> None:
         )
 
 
-def _lift(data, m: int, n: int, s: int, right: bool = False, negate: bool = False):
+def _lift(data, m: int, n: int, s: int, right: bool = False):
     """Nonzero entries (row, col, value) of X x I_s, or of I_s x X if right,
     where X is the m x n matrix whose row-major entries are ``data``.
 
     Rows ascend, and columns ascend within a row. Entry (i, j) of X
     becomes the run (i*s + d, j*s + d) for d < s on the left, and the
-    copies (b*m + i, b*n + j) for b < s on the right. With negate, the
-    entries are those of the lift of -X, each negated once, not once per copy.
+    copies (b*m + i, b*n + j) for b < s on the right.
     """
 
     def nonzero(i):
-        row = [(j, v) for j, v in enumerate(data[i * n : (i + 1) * n]) if v]
-        return [(j, -v) for j, v in row] if negate else row
+        return [(j, v) for j, v in enumerate(data[i * n : (i + 1) * n]) if v]
 
     if right:
         rows = [nonzero(i) for i in range(m)]
@@ -77,6 +81,21 @@ def _lift(data, m: int, n: int, s: int, right: bool = False, negate: bool = Fals
             for d in range(s):
                 for j, v in row:
                     yield i * s + d, j * s + d, v
+
+
+def _row_slices(i: int, m: int, n: int, s: int, right: bool = False) -> list[slice]:
+    """Where row i of an m x n matrix X lands in the row-major entries of
+    X x I_s, or of I_s x X if right: one slice of each of s lifted rows.
+
+    Lifted row i*s + d of X x I_s holds row i at columns d, d + s, ...;
+    lifted row b*m + i of I_s x X holds it at columns b*n ... b*n + n - 1.
+    Every other entry of those rows is zero.
+    """
+    cols = n * s
+    if right:
+        starts = ((b * m + i) * cols + b * n for b in range(s))
+        return [slice(a, a + n) for a in starts]
+    return [slice((i * s + d) * cols + d, (i * s + d + 1) * cols, s) for d in range(s)]
 
 
 def _integers(A: Matrix, by_col: bool = False) -> tuple[list[int], list[int]]:
@@ -141,24 +160,44 @@ def _sum_lifts(mats: list[Matrix], right: bool = False, signs: tuple[int, ...] =
     """Sum of same-ratio matrices, each lifted to the lcm of the row counts.
 
     ``signs`` gives each operand's sign (+1 where omitted); a negative one
-    lifts the operand's negation, so a difference builds no negated copy.
-    A cell's first contribution is stored as is rather than added to zero,
-    which spares a Fraction addition; in float mode a cell can therefore
-    hold 0.0 where the sum of the full lifts has -0.0.
+    is subtracted, so a difference builds no negated copy. Each nonzero
+    row of an operand goes into every slice of the result it lifts to,
+    one slice at a time.
+
+    Float mode adds (or subtracts) every entry of such a row to an
+    accumulator that starts at 0.0, so a cell holds 0.0 where the sum of
+    the full lifts has -0.0. Exact mode stores the first operand's rows
+    as they are (their slices never overlap) and, after that, a cell's
+    first contribution as it is: a Fraction addition happens only where
+    two nonzero entries meet. Every exact zero it stores is one object,
+    so that test is by identity.
     """
     first = mats[0]
     t = lcm(*(X.rows for X in mats))
     cols = t * first.cols // first.rows
     _check_budget(t, cols)
+    exact = first.scalar == RATIONAL
     zero = _zero(first.scalar)
+
+    def first_or_sum(a, b):
+        return b if a is zero else a if b is zero else a + b
+
     acc = [zero] * (t * cols)
     for n, X in enumerate(mats):
         _require_same_kind(first, X)
         negate = n < len(signs) and signs[n] < 0
-        for r, c, v in _lift(X.data, X.rows, X.cols, t // X.rows, right, negate):
-            k = r * cols + c
-            cur = acc[k]
-            acc[k] = v if cur is zero else cur + v
+        if exact:
+            plus = first_or_sum if n else None
+        else:
+            plus = operator.sub if negate else operator.add
+        for i in range(X.rows):
+            row = X.row(i)
+            if not any(row):
+                continue
+            if exact:
+                row = [(-v if negate else v) if v else zero for v in row]
+            for sl in _row_slices(i, X.rows, X.cols, t // X.rows, right):
+                acc[sl] = row if plus is None else map(plus, acc[sl], row)
     return Matrix(t, cols, tuple(acc), first.scalar)
 
 

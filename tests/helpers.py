@@ -148,6 +148,16 @@ def ref_rplus(A: Matrix, B: Matrix) -> Matrix:
     return add(_lift_right(A, t // A.rows), _lift_right(B, t // B.rows))
 
 
+def ref_lminus(A: Matrix, B: Matrix) -> Matrix:
+    t = lcm(A.rows, B.rows)
+    return sub(_lift_left(A, t // A.rows), _lift_left(B, t // B.rows))
+
+
+def ref_rminus(A: Matrix, B: Matrix) -> Matrix:
+    t = lcm(A.rows, B.rows)
+    return sub(_lift_right(A, t // A.rows), _lift_right(B, t // B.rows))
+
+
 def ref_inner(A: Matrix, B: Matrix):
     """Pairing of two same-ratio matrices: Frobenius product of the lifts."""
     t = lcm(A.rows, B.rows)

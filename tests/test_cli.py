@@ -165,6 +165,44 @@ def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, e
     assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param((), id="no_verb"),
+    pytest.param(("stp", "[[1,2]]"), id="missing_operand"),
+    pytest.param(("frobnicate", "[[1]]"), id="unknown_verb"),
+    pytest.param(("cauchy", "--a1", "[[1,2]]", "--nmax", "x"), id="bad_int"),
+    pytest.param(("--tol", "-1e-9", "canon", "[[1]]"), id="option_like_value"),
+    pytest.param(("canon", "[[1]]", "[[2]]"), id="extra_operand"),
+])
+def test_usage_error_ends_in_typed_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: semitensor")
+    assert json.loads(lines[-1])["error"] == "parse"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("stp", "--help"), ("cauchy", "-h")],
+                         ids=["top", "verb", "short_flag"])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: semitensor") and captured.err == ""
+
+
+def test_float_in_rational_json_names_the_string_form(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 1, "cols": 1, "scalar": "rational", "data": [0.5]}')
+    code, out, err = run(capsys, "canon", str(path))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "parse" and '"num/den" string' in error["message"]
+    path.write_text('{"rows": 1, "cols": 1, "scalar": "rational", "data": ["1/2"]}')
+    code, out, _ = run(capsys, "canon", str(path))
+    assert code == 0 and class_from_dict(json.loads(out)).rep.data == (Fraction(1, 2),)
+
+
 def test_oversized_result_is_domain_error(capsys):
     # t = lcm(997, 991) = 988027: a 49550 x 49850 product, over the size budget
     a, b = json.dumps([[1] * 997] * 50), json.dumps([[1] * 50] * 991)

@@ -1,8 +1,10 @@
 """Lift-free semi-tensor operations against the Kronecker-built references:
 bit equality, allocation footprints and the size budget."""
 
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 import pytest
@@ -13,8 +15,10 @@ from helpers import (
     matmul,
     rand_matrix,
     ref_inner,
+    ref_lminus,
     ref_lplus,
     ref_ltimes,
+    ref_rminus,
     ref_rplus,
     ref_rtimes,
 )
@@ -26,6 +30,7 @@ from semitensor import (
     MatrixClass,
     allocated_elems,
     canonicalize,
+    decompose_class,
     eq_within,
     from_rows,
     identity,
@@ -35,10 +40,15 @@ from semitensor import (
     lplus,
     ltimes,
     ratio_of,
+    reconstruct,
     rminus,
     rplus,
     rtimes,
+    scale,
+    unit_class,
 )
+
+SUMS = ((lplus, ref_lplus), (rplus, ref_rplus), (lminus, ref_lminus), (rminus, ref_rminus))
 
 
 def _rand_float(rng, m, n):
@@ -156,6 +166,17 @@ def test_float_inner_sums_products_in_row_major_lifted_order():
             inner(x, y)
 
 
+def test_float_inner_skips_products_with_a_zero_factor():
+    # X lifts to [[inf, 0, 1, 0], [0, inf, 0, 1]]: each inf meets a 0.0 of
+    # Y, a product that would be NaN, so only 1*3 and 1*5 are summed
+    inf = math.inf
+    X = from_rows([[inf, 1.0]], FLOAT64)
+    Y = from_rows([[0.0, 0.0, 3.0, -0.0], [0.0, -0.0, 0.0, 5.0]], FLOAT64)
+    x, y = MatrixClass(ratio_of(X), X), MatrixClass(ratio_of(Y), Y)
+    assert repr(inner(x, y)) == repr(inner(y, x)) == "8.0"
+    assert math.isnan(ref_inner(X, Y))  # the full lifts do multiply inf by 0
+
+
 # --- adversarial denominators -------------------------------------------
 
 def _primes_from(start):
@@ -206,6 +227,26 @@ def test_products_and_inner_with_adversarial_denominators(case):
                     assert type(got) is Fraction and got == ref_inner(X, Y)
 
 
+@pytest.mark.parametrize("case", ["distinct_primes", "zero_lines", "zero_operand"])
+def test_sums_and_reconstruct_with_adversarial_denominators(case):
+    rng = random.Random(149)
+    primes = _primes_from(10**4)
+    for sa, sb in ADVERSARIAL_PAIRS:
+        X = _adversarial("distinct_primes", rng, sa, primes)
+        Y = _adversarial(case, rng, sb, primes)
+        for A, B in ((X, Y), (Y, X)):
+            for op, ref in SUMS:
+                assert op(A, B) == ref(A, B), op.__name__
+        # reconstruct sums one unit matrix per size i, lifted to their lcm
+        for Z in (X, Y):
+            x = canonicalize(Z)
+            coords = decompose_class(x)
+            assert reconstruct(coords) == x
+            if coords.terms:
+                units = (scale(c, unit_class(e).rep) for e, c in coords.terms.items())
+                assert reconstruct(coords) == canonicalize(reduce(ref_lplus, units))
+
+
 # --- size budget --------------------------------------------------------
 
 def test_size_budget_rejects_oversized_product_before_allocating():
@@ -248,6 +289,48 @@ def float_matrices(draw, rows=None, cols=None, entries=finite_floats):
 def test_float_products_match_references_bit_for_bit(A, B):
     assert repr(ltimes(A, B)) == repr(ref_ltimes(A, B))
     assert repr(rtimes(A, B)) == repr(ref_rtimes(A, B))
+
+
+@st.composite
+def float_sum_pairs(draw):
+    # every finite float, ±0.0 often; lift factors up to 4 on each side
+    entries = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    s, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return (draw(float_matrices(s * p, s * q, entries)),
+            draw(float_matrices(t * p, t * q, entries)))
+
+
+@given(float_sum_pairs())
+def test_float_sums_match_references_but_never_return_negative_zero(pair):
+    # A cell of the lifted sum is the reference's cell, except that where
+    # the reference adds zeros to -0.0 the library returns 0.0.
+    A, B = pair
+    for op, ref in SUMS:
+        got, want = op(A, B), ref(A, B)
+        assert got.shape == want.shape
+        assert [repr(v) for v in got.data] == [
+            "0.0" if r == "-0.0" else r for r in map(repr, want.data)
+        ], op.__name__
+        assert "-0.0" not in map(repr, got.data)
+
+
+def test_float_sums_with_nonfinite_cells():
+    # A lifts to [[inf, 0, -inf, 0], [0, inf, 0, -inf]] on the left and to
+    # [[inf, -inf, 0, 0], [0, 0, inf, -inf]] on the right; inf - inf cells
+    # are NaN, and a -0.0 that meets a zero comes back as 0.0.
+    inf, nan = math.inf, math.nan
+    A = from_rows([[inf, -inf]], FLOAT64)
+    B = from_rows([[-inf, 1.0, -0.0, nan], [2.0, inf, -inf, -0.0]], FLOAT64)
+    for op, cells in (
+        (lplus, [nan, 1.0, -inf, nan, 2.0, inf, -inf, -inf]),
+        (lminus, [inf, -1.0, -inf, nan, -2.0, nan, inf, -inf]),
+        (rplus, [nan, -inf, 0.0, nan, 2.0, inf, nan, -inf]),
+        (rminus, [inf, -inf, 0.0, nan, -2.0, -inf, inf, -inf]),
+    ):
+        got = op(A, B)
+        assert got.shape == (2, 4)
+        assert list(map(repr, got.data)) == list(map(repr, cells)), op.__name__
 
 
 @st.composite

@@ -128,6 +128,18 @@ def test_validation():
         from_rows([[0.5]], RATIONAL)
 
 
+@pytest.mark.parametrize("scalar, data, message", [
+    (RATIONAL, (Fraction(1), Fraction(2), 3.0), "rational matrix entries must be Fraction"),
+    (RATIONAL, (Fraction(1), 2, Fraction(3)), "rational matrix entries must be Fraction"),
+    (FLOAT64, (1.0, 2.0, Fraction(3)), "float64 matrix entries must be float"),
+    (FLOAT64, (1.0, 2, 3.0), "float64 matrix entries must be float"),
+    ("complex", (1.0, 2.0, 3.0), "unknown scalar kind"),
+])
+def test_every_entry_is_type_checked(scalar, data, message):
+    with pytest.raises(ValueError, match=message):
+        Matrix(1, 3, data, scalar)
+
+
 def test_e_matrix():
     assert e_matrix(2, 2, 0, 1).to_lists() == as_matrix([[0, 1], [0, 0]]).to_lists()
     with pytest.raises(ValueError):

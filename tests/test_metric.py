@@ -147,11 +147,29 @@ def test_sequence_generation_rules():
     assert seq[1].rep == delta_n(kron(seq[0].rep, identity(2, FLOAT64)), 2)
 
 
+@pytest.mark.parametrize("seed", [
+    [[-1.5]],
+    [[1.0, -2.0]],
+    [[-3.0], [0.25]],
+    [[1.0, -2.0, 3.0], [-4.0, 0.1, -1e-300]],
+], ids=["1x1", "1x2", "2x1", "2x3"])
+def test_every_step_is_the_fill_of_the_lifted_step(seed):
+    # kron gives a negative entry times 0.0 = -0.0 off the diagonal, which
+    # the fill must replace like 0.0; compared bit for bit
+    seq = cauchy_sequence(CauchyConfig(from_rows(seed, FLOAT64), 8))
+    for n in range(2, 9):
+        lifted = kron(seq[n - 2].rep, identity(2, FLOAT64))
+        assert repr(seq[n - 1].rep) == repr(delta_n(lifted, n)), n
+
+
 def test_cauchy_config_validation():
     with pytest.raises(ValueError):
         CauchyConfig(from_rows([[1.0, 0.0]], FLOAT64), 3)
     with pytest.raises(ValueError):
         CauchyConfig(from_rows([[1.0]], FLOAT64), 10)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            CauchyConfig(from_rows([[1.0, bad]], FLOAT64), 3)
     with pytest.raises(ValueError):
         CauchyConfig(as_matrix([[1, 2]]), 3)
 
