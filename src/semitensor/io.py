@@ -16,7 +16,7 @@ import operator
 from .basis import BasisElement, Coordinates
 from .matrix import FLOAT64, RATIONAL, Matrix, as_scalar, from_rows
 from .metric import GapReport
-from .quotient import MatrixClass
+from .quotient import MatrixClass, canonicalize
 
 
 def format_entry(v, kind: str):
@@ -67,12 +67,17 @@ def class_to_dict(x: MatrixClass) -> dict:
 
 
 def class_from_dict(d: dict) -> MatrixClass:
+    """The class a dict states; its representative must be irreducible
+    under exact comparison, or the stated k0 and the pairing would be
+    wrong."""
     try:
         mu = as_scalar(d["mu"], RATIONAL)
         rep = matrix_from_dict(d["rep"])
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"class object missing field or zero denominator: {exc}") from exc
     cls = MatrixClass(mu, rep)
+    if canonicalize(rep, rtol=0.0).rep.shape != rep.shape:
+        raise ValueError(f"representative of shape {rep.shape} is reducible")
     if "k0" in d and _integer(d["k0"], "k0") != cls.k0:
         raise ValueError(f"stated k0={d['k0']} disagrees with rep shape {rep.shape}")
     return cls

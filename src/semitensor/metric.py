@@ -26,7 +26,7 @@ from math import lcm
 from operator import mul
 
 from .matrix import FLOAT64, Matrix, _require_same_kind
-from .quotient import MatrixClass, canonicalize, class_sub
+from .quotient import MatrixClass, _require_same_mu, canonicalize, class_sub
 from .stp import _integers, _row_slices
 
 # Largest experiment index: the next fill exp(-2^9) is still a normal
@@ -46,8 +46,7 @@ def inner(x: MatrixClass, y: MatrixClass):
     both representatives to integers, sums each lifted row's integer
     products and divides by its two row scales once.
     """
-    if x.mu != y.mu:
-        raise ValueError(f"classes live in different spaces: {x.mu} vs {y.mu}")
+    _require_same_mu(x, y)
     _require_same_kind(x.rep, y.rep)
     X, Y = x.rep, y.rep
     t = lcm(X.rows, Y.rows)

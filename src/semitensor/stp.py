@@ -5,27 +5,28 @@ lifted by Kronecker identities to the lcm of the inner dimensions before
 the ordinary product. The addition is defined only within one row/column
 ratio and lifts to the lcm of the row counts.
 
-No lift is ever built. ``_lift`` lists the nonzero entries of A x I_s
-(a diagonal run of s entries per entry of A) or of I_s x A (s
-block-diagonal copies of A), and the products work from that list.
-Sums and differences here and in ``basis.reconstruct`` work by rows
-instead: ``_row_slices`` says where row i of A lands in a lift, as one
-slice of each of s lifted rows (columns d, d + s, ... of row i*s + d on
-the left; columns b*n ... b*n + n - 1 of row b*m + i on the right), and
-each nonzero row is added into its slices in one step apiece. The
-Cauchy experiment in the metric module builds its lifts by the same
-rule, and the pairing there reads both lifts as strided row slices.
-Everything allocates only its result. Exact mode agrees bit for bit
-with the Kronecker-built definitions, which the test suite keeps as
-references.
+No lift is ever built. One rule places every lift: ``_row_slices``
+says where row i of X lands in X x I_s or I_s x X, as one slice of
+each of s lifted rows (columns d, d + s, ... of row i*s + d on the
+left; columns b*n ... b*n + n - 1 of row b*m + i on the right). Sums
+and differences here and in ``basis.reconstruct`` add each nonzero row
+into its slices in one step apiece; the products read both lifts a
+lifted row at a time through ``_lifted_rows``, which reads the same
+slices. The Cauchy experiment in the metric module builds its lifts by
+the same rule, and the pairing there reads both lifts as strided row
+slices. Everything allocates only its result. Exact mode agrees bit
+for bit with the Kronecker-built definitions, which the test suite
+keeps as references.
 
 In exact mode a product does its arithmetic on Python ints: each row of
 A is scaled by the lcm of that row's denominators and each column of B
 by the lcm of that column's, the integer numerators are multiplied and
-summed through the same lift loop, and each output cell becomes one
+summed a lifted row at a time, and each output cell becomes one
 ``Fraction`` at the end. Scaling per row and column rather than per
 matrix keeps the integers small when denominators differ across the
-matrix. Float mode multiplies the entries as they are.
+matrix. Float mode multiplies the entries as they are. Neither mode
+multiplies a stored zero of either lift, so an inf or NaN entry facing
+a zero adds nothing where the ordinary product of the lifts makes NaN.
 
 Every result is checked against a size budget, ``_MAX_ENTRIES``, before
 anything is allocated; a larger result raises ``ValueError``.
@@ -57,32 +58,6 @@ def _check_budget(rows: int, cols: int) -> None:
         )
 
 
-def _lift(data, m: int, n: int, s: int, right: bool = False):
-    """Nonzero entries (row, col, value) of X x I_s, or of I_s x X if right,
-    where X is the m x n matrix whose row-major entries are ``data``.
-
-    Rows ascend, and columns ascend within a row. Entry (i, j) of X
-    becomes the run (i*s + d, j*s + d) for d < s on the left, and the
-    copies (b*m + i, b*n + j) for b < s on the right.
-    """
-
-    def nonzero(i):
-        return [(j, v) for j, v in enumerate(data[i * n : (i + 1) * n]) if v]
-
-    if right:
-        rows = [nonzero(i) for i in range(m)]
-        for b in range(s):
-            for i, row in enumerate(rows):
-                for j, v in row:
-                    yield b * m + i, b * n + j, v
-    else:
-        for i in range(m):
-            row = nonzero(i)
-            for d in range(s):
-                for j, v in row:
-                    yield i * s + d, j * s + d, v
-
-
 def _row_slices(i: int, m: int, n: int, s: int, right: bool = False) -> list[slice]:
     """Where row i of an m x n matrix X lands in the row-major entries of
     X x I_s, or of I_s x X if right: one slice of each of s lifted rows.
@@ -98,6 +73,22 @@ def _row_slices(i: int, m: int, n: int, s: int, right: bool = False) -> list[sli
     return [slice((i * s + d) * cols + d, (i * s + d + 1) * cols, s) for d in range(s)]
 
 
+def _lifted_rows(data, m: int, n: int, s: int, right: bool = False):
+    """The rows of X x I_s, or of I_s x X if right, that hold a nonzero
+    entry, where X is the m x n matrix whose row-major entries are
+    ``data``, placed by ``_row_slices``: (i, r, columns, row) says that
+    lifted row r holds row i of X, ``row``, at ``columns`` (a range) and
+    zeros elsewhere. Lifted rows come in the order of ``_row_slices``."""
+    width = n * s
+    for i in range(m):
+        row = data[i * n : (i + 1) * n]
+        if any(row):
+            for sl in _row_slices(i, m, n, s, right):
+                r, c = divmod(sl.start, width)
+                step = sl.step or 1
+                yield i, r, range(c, c + n * step, step), row
+
+
 def _integers(A: Matrix, by_col: bool = False) -> tuple[list[int], list[int]]:
     """Entries of a rational A as ints, each row (or column, if by_col)
     multiplied by the lcm of its denominators; and those lcms."""
@@ -109,41 +100,45 @@ def _integers(A: Matrix, by_col: bool = False) -> tuple[list[int], list[int]]:
 
 
 def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
-    # Each output cell accumulates over ascending inner index, exactly as
-    # the ordinary product of the two lifts would. In exact mode the cell
-    # (r, c) sums integer numerators over the common denominator
-    # a_scale[row of A behind r] * b_scale[column of B behind c].
+    # Output row r of the product sums, over the nonzero entries v at
+    # column k of lifted row r of A, v times the nonzero entries of lifted
+    # row k of B: each cell accumulates over ascending k, exactly as the
+    # ordinary product of the two lifts would. In exact mode, where row r
+    # holds row i of A, it sums integer numerators, and cell (r, c) has
+    # the common denominator a_scale[i] * col_scale[c].
     _require_same_kind(A, B)
     t = lcm(A.cols, B.rows)
     sa, sb = t // A.cols, t // B.rows
     rows, cols = A.rows * sa, B.cols * sb
     _check_budget(rows, cols)
     exact = A.scalar == RATIONAL
+    zero = _zero(A.scalar)
     if exact:
         a_data, a_scale = _integers(A)
         b_data, b_scale = _integers(B, by_col=True)
+        # B's column scales lift like one row of B: each slice of that row,
+        # shifted back to lifted row 0, says which columns take which scale.
+        col_scale = [0] * cols
+        for sl in _row_slices(0, 1, B.cols, sb, right):
+            r0 = sl.start - sl.start % cols
+            col_scale[sl.start - r0 : sl.stop - r0 : sl.step] = b_scale
     else:
         a_data, b_data = A.data, B.data
-    b_rows = [[] for _ in range(t)]
-    for k, c, w in _lift(b_data, B.rows, B.cols, sb, right):
-        b_rows[k].append((c, w))
-    acc = [0 if exact else 0.0] * (rows * cols)
-    for r, k, v in _lift(a_data, A.rows, A.cols, sa, right):
-        base = r * cols
-        for c, w in b_rows[k]:
-            acc[base + c] += v * w
-    if exact:
-        zero = _zero(RATIONAL)
-        col_scale = [b_scale[c % B.cols if right else c // sb] for c in range(cols)]
-        out = []
-        for r in range(rows):
-            d = a_scale[r % A.rows if right else r // sa]
-            out += [
-                Fraction(v, d * e) if v else zero
-                for v, e in zip(acc[r * cols : (r + 1) * cols], col_scale)
-            ]
-        acc = out
-    return Matrix(rows, cols, tuple(acc), A.scalar)
+    b_rows = [()] * t
+    for _, k, cs, row in _lifted_rows(b_data, B.rows, B.cols, sb, right):
+        b_rows[k] = [(c, w) for c, w in zip(cs, row) if w]
+    out = [zero] * (rows * cols)
+    for i, r, ks, row in _lifted_rows(a_data, A.rows, A.cols, sa, right):
+        acc = [0 if exact else 0.0] * cols
+        for k, v in zip(ks, row):
+            if v:
+                for c, w in b_rows[k]:
+                    acc[c] += v * w
+        if exact:
+            d = a_scale[i]
+            acc = [Fraction(v, d * e) if v else zero for v, e in zip(acc, col_scale)]
+        out[r * cols : (r + 1) * cols] = acc
+    return Matrix(rows, cols, tuple(out), A.scalar)
 
 
 def ltimes(A: Matrix, B: Matrix) -> Matrix:
@@ -156,13 +151,12 @@ def rtimes(A: Matrix, B: Matrix) -> Matrix:
     return _times(A, B, right=True)
 
 
-def _sum_lifts(mats: list[Matrix], right: bool = False, signs: tuple[int, ...] = ()) -> Matrix:
+def _sum_lifts(mats: list[Matrix], right: bool = False, subtract: bool = False) -> Matrix:
     """Sum of same-ratio matrices, each lifted to the lcm of the row counts.
 
-    ``signs`` gives each operand's sign (+1 where omitted); a negative one
-    is subtracted, so a difference builds no negated copy. Each nonzero
-    row of an operand goes into every slice of the result it lifts to,
-    one slice at a time.
+    If ``subtract``, the second operand is subtracted instead, so a
+    difference builds no negated copy. Each nonzero row of an operand
+    goes into every slice of the result it lifts to, one slice at a time.
 
     Float mode adds (or subtracts) every entry of such a row to an
     accumulator that starts at 0.0, so a cell holds 0.0 where the sum of
@@ -185,7 +179,7 @@ def _sum_lifts(mats: list[Matrix], right: bool = False, signs: tuple[int, ...] =
     acc = [zero] * (t * cols)
     for n, X in enumerate(mats):
         _require_same_kind(first, X)
-        negate = n < len(signs) and signs[n] < 0
+        negate = subtract and n == 1
         if exact:
             plus = first_or_sum if n else None
         else:
@@ -219,7 +213,7 @@ def lplus(A: Matrix, B: Matrix) -> Matrix:
 def lminus(A: Matrix, B: Matrix) -> Matrix:
     """Left semi-tensor difference, lplus(A, -B) without building -B."""
     _require_same_ratio(A, B)
-    return _sum_lifts([A, B], signs=(1, -1))
+    return _sum_lifts([A, B], subtract=True)
 
 
 def rplus(A: Matrix, B: Matrix) -> Matrix:
@@ -231,4 +225,4 @@ def rplus(A: Matrix, B: Matrix) -> Matrix:
 def rminus(A: Matrix, B: Matrix) -> Matrix:
     """Right semi-tensor difference, rplus(A, -B) without building -B."""
     _require_same_ratio(A, B)
-    return _sum_lifts([A, B], right=True, signs=(1, -1))
+    return _sum_lifts([A, B], right=True, subtract=True)

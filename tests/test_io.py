@@ -72,6 +72,18 @@ def test_class_round_trip():
             class_from_dict(d)
 
 
+def test_class_from_dict_refuses_a_reducible_representative():
+    # I_2 is the lift of [1]: read as a class it would have k0 = 2 and
+    # pair with itself to 2, where the class of [1] pairs to 1.
+    for rep, scalar in (([[1, 0], [0, 1]], "rational"), ([[2.5, 0.0], [0.0, 2.5]], FLOAT64)):
+        d = {"mu": "1", "rep": matrix_to_dict(from_rows(rep, scalar))}
+        with pytest.raises(ValueError, match="reducible"):
+            class_from_dict(d)
+    # a float matrix that peels only under a tolerance is irreducible
+    near = from_rows([[1.0, 0.0], [0.0, 1.0 + 1e-12]], FLOAT64)
+    assert class_from_dict({"mu": "1", "rep": matrix_to_dict(near)}).k0 == 2
+
+
 def test_coords_round_trip():
     c = decompose_class(canonicalize(as_matrix([[2, 0], [0, 3]])))
     d = coords_to_dict(c)

@@ -285,20 +285,49 @@ def float_matrices(draw, rows=None, cols=None, entries=finite_floats):
     return Matrix(m, n, tuple(data), FLOAT64)
 
 
-@given(float_matrices(), float_matrices())
+# every finite float, ±0.0 often: products and sums can overflow, so the
+# order in which a cell accumulates shows
+any_finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+
+
+@given(float_matrices(entries=any_finite_floats), float_matrices(entries=any_finite_floats))
 def test_float_products_match_references_bit_for_bit(A, B):
     assert repr(ltimes(A, B)) == repr(ref_ltimes(A, B))
     assert repr(rtimes(A, B)) == repr(ref_rtimes(A, B))
 
 
+def test_float_products_never_multiply_a_stored_zero():
+    # An inf or NaN entry of A that faces a zero of B's lift, stored (±0.0)
+    # or made by the lift, adds nothing; the product of the full lifts
+    # makes NaN there.
+    inf, nan = math.inf, math.nan
+    A = from_rows([[inf, 1.0]], FLOAT64)
+    B = from_rows([[0.0, 2.0], [1.0, 0.0]], FLOAT64)
+    for op, ref in ((ltimes, ref_ltimes), (rtimes, ref_rtimes)):
+        assert list(map(repr, op(A, B).data)) == ["1.0", "inf"]
+        assert list(map(repr, ref(A, B).data)) == ["nan", "inf"]
+    # B lifts to [[-0.0, 0, inf, 0], [0, -0.0, 0, inf]] on the left and
+    # to [[-0.0, inf, 0, 0], [0, 0, -0.0, inf]] on the right, and A's -0.0
+    # faces nothing, so no cell but inf * inf, nan * inf and 1.0 * inf is
+    # formed.
+    A = from_rows([[inf, nan], [-0.0, 1.0]], FLOAT64)
+    B = from_rows([[-0.0, inf]], FLOAT64)
+    for op, cells in (
+        (ltimes, [0.0, 0.0, inf, nan, 0.0, 0.0, 0.0, inf]),
+        (rtimes, [0.0, inf, 0.0, nan, 0.0, 0.0, 0.0, inf]),
+    ):
+        got = op(A, B)
+        assert got.shape == (2, 4)
+        assert list(map(repr, got.data)) == list(map(repr, cells)), op.__name__
+
+
 @st.composite
 def float_sum_pairs(draw):
-    # every finite float, ±0.0 often; lift factors up to 4 on each side
-    entries = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+    # lift factors up to 4 on each side
     p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     s, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return (draw(float_matrices(s * p, s * q, entries)),
-            draw(float_matrices(t * p, t * q, entries)))
+    return (draw(float_matrices(s * p, s * q, any_finite_floats)),
+            draw(float_matrices(t * p, t * q, any_finite_floats)))
 
 
 @given(float_sum_pairs())
