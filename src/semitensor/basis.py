@@ -1,8 +1,8 @@
 """Constructive basis of the quotient spaces and coordinate decomposition.
 
 The basis consists of classes of single-entry Kronecker units
-E(p x q; k, l) x E(i x i; j1, j2) subject to coprimality: gcd(i, j1) = 1
-on the diagonal (j1 = j2), and gcd(i, j1, j2) = 1 with i >= 2 off it.
+E(p x q; k, l) x E(i x i; j1, j2) subject to one coprimality rule,
+gcd(i, j1, j2) = 1 (on the diagonal j1 = j2 this is gcd(i, j1) = 1).
 A general unit with gcd > 1 telescopes into such elements through greedy
 gcd chains: the plus-chain walks j down to 0 in steps f_n = gcd(i, rest),
 the minus-chain walks j-1 down to 0, and the signed sum of the emitted
@@ -11,18 +11,20 @@ coprime units reproduces the original unit after lifting.
 Because these classes form a basis, decompose_class is an exact linear
 isomorphism onto finite-support coordinates. Span and independence
 questions are therefore decided by exact sparse elimination over the
-coordinates of each class, with no representative ever lifted.
+coordinates of each class, with no representative ever lifted. The same
+uniqueness puts a combination of units at level lcm(i), where
+unit_class and reconstruct build it with no peel search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .matrix import RATIONAL, Matrix, e_matrix, kron
-from .quotient import MatrixClass, canonicalize, zero_class
-from .stp import _sum_lifts
+from .matrix import RATIONAL, Matrix, e_matrix
+from .quotient import MatrixClass, zero_class
+from .stp import _check_budget, _row_slices
 
 # Largest listing enumerate_basis builds, as its bound p*q*sum(i^2) on the
 # element count; checked before anything is built (ValueError above it).
@@ -34,8 +36,8 @@ class BasisElement:
     """Index tuple naming the class of E(p x q; k, l) x E(i x i; j1, j2).
 
     All indices are 1-based. mu = p/q must be reduced (Fraction enforces
-    this); k <= p, l <= q, and j1, j2 <= i with the coprimality condition
-    of the diagonal or off-diagonal family.
+    this); k <= p, l <= q, and j1, j2 <= i with gcd(i, j1, j2) = 1. An
+    off-diagonal element (j1 != j2) therefore has i >= 2.
     """
 
     mu: Fraction
@@ -51,17 +53,10 @@ class BasisElement:
             raise ValueError(f"(k, l)=({self.k},{self.l}) outside {p}x{q}")
         if not (1 <= self.j1 <= self.i and 1 <= self.j2 <= self.i):
             raise ValueError(f"(j1, j2)=({self.j1},{self.j2}) outside 1..{self.i}")
-        if self.j1 == self.j2:
-            if gcd(self.i, self.j1) != 1:
-                raise ValueError(f"diagonal element needs gcd(i, j)=1, got ({self.i},{self.j1})")
-        else:
-            if self.i < 2:
-                raise ValueError("off-diagonal element needs i >= 2")
-            if gcd(self.i, self.j1, self.j2) != 1:
-                raise ValueError(
-                    f"off-diagonal element needs gcd(i, j1, j2)=1, "
-                    f"got ({self.i},{self.j1},{self.j2})"
-                )
+        if gcd(self.i, self.j1, self.j2) != 1:
+            raise ValueError(
+                f"basis element needs gcd(i, j1, j2)=1, got ({self.i},{self.j1},{self.j2})"
+            )
 
     @property
     def kind(self) -> str:
@@ -99,10 +94,11 @@ class Coordinates:
 
 
 def unit_class(e: BasisElement) -> MatrixClass:
-    """The class named by a basis element; its representative is the unit itself."""
-    p, q = e.mu.numerator, e.mu.denominator
-    rep = kron(e_matrix(p, q, e.k - 1, e.l - 1), e_matrix(e.i, e.i, e.j1 - 1, e.j2 - 1))
-    return canonicalize(rep)
+    """The class named by a basis element: the unit itself, whose one
+    nonzero entry makes it no lift B x I_s (that has s >= 2 of them)."""
+    p, q, i = e.mu.numerator, e.mu.denominator, e.i
+    rep = e_matrix(p * i, q * i, (e.k - 1) * i + e.j1 - 1, (e.l - 1) * i + e.j2 - 1)
+    return MatrixClass(e.mu, rep)
 
 
 def _chain(i: int, targets: tuple[int, ...]) -> list[int]:
@@ -212,19 +208,25 @@ def decompose_class(x: MatrixClass) -> Coordinates:
 def reconstruct(c: Coordinates) -> MatrixClass:
     """Class summing coeff * unit over all terms; empty coordinates give zero.
 
-    Equivalent to folding class additions over the terms, but computed in
-    one pass: the units of each size i are gathered into one matrix, and
-    the matrices are lifted to their common size and summed.
+    Built in one pass at the canonical level L = lcm of the term sizes
+    (a peel would give other coordinates, which are unique), after its
+    size is checked against the budget: each coefficient goes into the
+    L/i lifted positions of its unit, placed by ``_row_slices``.
     """
     if not c.terms:
         return zero_class(c.mu)
     p, q = c.mu.numerator, c.mu.denominator
-    by_size: dict[int, list[Fraction]] = {}
+    L = lcm(*(e.i for e in c.terms))
+    _check_budget(p * L, q * L)
+    zero = Fraction(0)
+    acc = [zero] * (p * q * L * L)
     for e, coeff in c.terms.items():
-        data = by_size.setdefault(e.i, [Fraction(0)] * (p * q * e.i * e.i))
-        data[((e.k - 1) * e.i + e.j1 - 1) * q * e.i + (e.l - 1) * e.i + e.j2 - 1] = coeff
-    units = [Matrix(p * i, q * i, tuple(data), RATIONAL) for i, data in by_size.items()]
-    return canonicalize(_sum_lifts(units))
+        s = L // e.i
+        col = (e.l - 1) * e.i + e.j2 - 1
+        for sl in _row_slices((e.k - 1) * e.i + e.j1 - 1, p * e.i, q * e.i, s):
+            pos = sl.start + col * s
+            acc[pos] = coeff if acc[pos] is zero else acc[pos] + coeff
+    return MatrixClass(c.mu, Matrix(p * L, q * L, tuple(acc), RATIONAL))
 
 
 def _eliminate(pivots: dict, v: dict[tuple[int, ...], Fraction]) -> bool:
@@ -293,17 +295,12 @@ def enumerate_basis(mu: Fraction, i_max: int) -> list[BasisElement]:
         raise ValueError(
             f"up to {bound} basis elements for i_max={i_max}, over the budget of {_MAX_ELEMENTS}"
         )
-    out = []
-    for i in range(1, i_max + 1):
-        for j1 in range(1, i + 1):
-            for j2 in range(1, i + 1):
-                if j1 == j2:
-                    ok = gcd(i, j1) == 1
-                else:
-                    ok = i >= 2 and gcd(i, j1, j2) == 1
-                if not ok:
-                    continue
-                for k in range(1, p + 1):
-                    for l in range(1, q + 1):
-                        out.append(BasisElement(mu, k, l, i, j1, j2))
-    return out
+    return [
+        BasisElement(mu, k, l, i, j1, j2)
+        for i in range(1, i_max + 1)
+        for j1 in range(1, i + 1)
+        for j2 in range(1, i + 1)
+        if gcd(i, j1, j2) == 1
+        for k in range(1, p + 1)
+        for l in range(1, q + 1)
+    ]

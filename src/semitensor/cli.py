@@ -29,7 +29,7 @@ from .metric import (
     inner,
     nonconvergence_probe,
 )
-from .quotient import MatrixClass, canonicalize, equivalent, lie_bracket
+from .quotient import MatrixClass, canonicalize, equivalent, lie_bracket, try_unkron
 from .stp import lminus, lplus, ltimes, rminus, rplus, rtimes
 
 TOL_ENV = "SEMITENSOR_TOL"
@@ -102,18 +102,19 @@ def _emit_matrix(A: Matrix, args) -> None:
 
 
 def _to_class(A: Matrix, tol: float) -> MatrixClass:
-    """Canonicalize a CLI input, flagging tolerance-dependent peels."""
-    if A.scalar == FLOAT64:
-        at_tol = canonicalize(A, rtol=tol)
+    """Canonicalize a CLI input once, at tol. A float peel depended on the
+    tolerance exactly when A is not rep x I_s exactly; only then is the
+    exact form computed, to word the error."""
+    x = canonicalize(A, rtol=tol)
+    s = A.rows // x.rep.rows
+    if A.scalar == FLOAT64 and s > 1 and try_unkron(A, s, rtol=0.0) is None:
         exact = canonicalize(A, rtol=0.0)
-        if at_tol.rep.shape != exact.rep.shape:
-            raise ValueError(
-                f"reducibility of this float matrix is ambiguous: exact "
-                f"comparison gives a {exact.rep.shape} representative but "
-                f"tolerance {tol} gives {at_tol.rep.shape}"
-            )
-        return at_tol
-    return canonicalize(A)
+        raise ValueError(
+            f"reducibility of this float matrix is ambiguous: exact "
+            f"comparison gives a {exact.rep.shape} representative but "
+            f"tolerance {tol} gives {x.rep.shape}"
+        )
+    return x
 
 
 def _scalar_json(v) -> dict:
@@ -175,8 +176,7 @@ def _run(args) -> None:
     if verb in ("stp", "sta", "equiv"):
         A, B = (_load_matrix(m, args.scalar) for m in (args.a, args.b))
         if verb == "equiv":
-            rtol = tol if A.scalar == FLOAT64 else None
-            _emit(sio.dump_json({"equivalent": equivalent(A, B, rtol)}), args.out)
+            _emit(sio.dump_json({"equivalent": equivalent(A, B, tol)}), args.out)
             return
         if verb == "stp":
             op = rtimes if args.right else ltimes
@@ -188,9 +188,9 @@ def _run(args) -> None:
     elif verb in ("bracket", "inner", "dist"):
         x, y = (_to_class(_load_matrix(m, args.scalar), tol) for m in (args.a, args.b))
         if verb == "bracket":
-            result = sio.class_to_dict(lie_bracket(x, y))
+            result = sio.class_to_dict(lie_bracket(x, y, tol))
         else:
-            result = _scalar_json((inner if verb == "inner" else dist)(x, y))
+            result = _scalar_json(inner(x, y) if verb == "inner" else dist(x, y, tol))
         _emit(sio.dump_json(result), args.out)
     elif verb == "canon":
         x = _to_class(_load_matrix(args.a, args.scalar), tol)

@@ -27,7 +27,7 @@ from operator import mul
 
 from .matrix import FLOAT64, Matrix, _require_same_kind
 from .quotient import MatrixClass, _require_same_mu, canonicalize, class_sub
-from .stp import _integers, _row_slices
+from .stp import _check_budget, _integers, _row_slices
 
 # Largest experiment index: the next fill exp(-2^9) is still a normal
 # binary64, exp(-2^10) underflows to zero.
@@ -116,7 +116,8 @@ def _lift_and_fill(A: Matrix, fill: float) -> Matrix:
 
 @dataclass(frozen=True)
 class CauchyConfig:
-    """Seed matrix and length for the experiment sequence."""
+    """Seed matrix and length for the experiment sequence; refused if its
+    last step, p*2^(n_max-1) x q*2^(n_max-1), is over the size budget."""
 
     a1: Matrix
     n_max: int
@@ -130,6 +131,8 @@ class CauchyConfig:
             raise ValueError("seed matrix must have all entries finite")
         if not (1 <= self.n_max <= N_MAX_LIMIT):
             raise ValueError(f"n_max must be in 1..{N_MAX_LIMIT}, got {self.n_max}")
+        s = 2 ** (self.n_max - 1)
+        _check_budget(self.a1.rows * s, self.a1.cols * s)
 
 
 def cauchy_sequence(cfg: CauchyConfig) -> list[MatrixClass]:

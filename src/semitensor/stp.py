@@ -9,14 +9,14 @@ No lift is ever built. One rule places every lift: ``_row_slices``
 says where row i of X lands in X x I_s or I_s x X, as one slice of
 each of s lifted rows (columns d, d + s, ... of row i*s + d on the
 left; columns b*n ... b*n + n - 1 of row b*m + i on the right). Sums
-and differences here and in ``basis.reconstruct`` add each nonzero row
-into its slices in one step apiece; the products read both lifts a
-lifted row at a time through ``_lifted_rows``, which reads the same
-slices. The Cauchy experiment in the metric module builds its lifts by
-the same rule, and the pairing there reads both lifts as strided row
-slices. Everything allocates only its result. Exact mode agrees bit
-for bit with the Kronecker-built definitions, which the test suite
-keeps as references.
+and differences add each nonzero row into its slices in one step
+apiece, and ``basis.reconstruct`` places each basis unit's one entry
+by the same slices; the products read both lifts a lifted row at a
+time through ``_lifted_rows``, which reads the same slices. The Cauchy
+experiment in the metric module builds its lifts by the same rule, and
+the pairing there reads both lifts as strided row slices. Everything
+allocates only its result. Exact mode agrees bit for bit with the
+Kronecker-built definitions, which the test suite keeps as references.
 
 In exact mode a product does its arithmetic on Python ints: each row of
 A is scaled by the lcm of that row's denominators and each column of B
@@ -151,34 +151,33 @@ def rtimes(A: Matrix, B: Matrix) -> Matrix:
     return _times(A, B, right=True)
 
 
-def _sum_lifts(mats: list[Matrix], right: bool = False, subtract: bool = False) -> Matrix:
-    """Sum of same-ratio matrices, each lifted to the lcm of the row counts.
+def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False) -> Matrix:
+    """Sum of two same-ratio matrices, each lifted to the lcm of the row counts.
 
-    If ``subtract``, the second operand is subtracted instead, so a
-    difference builds no negated copy. Each nonzero row of an operand
-    goes into every slice of the result it lifts to, one slice at a time.
+    If ``subtract``, B is subtracted instead, so a difference builds no
+    negated copy. Each nonzero row of an operand goes into every slice
+    of the result it lifts to, one slice at a time.
 
     Float mode adds (or subtracts) every entry of such a row to an
     accumulator that starts at 0.0, so a cell holds 0.0 where the sum of
-    the full lifts has -0.0. Exact mode stores the first operand's rows
-    as they are (their slices never overlap) and, after that, a cell's
-    first contribution as it is: a Fraction addition happens only where
+    the full lifts has -0.0. Exact mode stores A's rows as they are
+    (their slices never overlap) and then B's entries, each as it is
+    where A's lift holds a zero: a Fraction addition happens only where
     two nonzero entries meet. Every exact zero it stores is one object,
     so that test is by identity.
     """
-    first = mats[0]
-    t = lcm(*(X.rows for X in mats))
-    cols = t * first.cols // first.rows
+    _require_same_kind(A, B)
+    t = lcm(A.rows, B.rows)
+    cols = t * A.cols // A.rows
     _check_budget(t, cols)
-    exact = first.scalar == RATIONAL
-    zero = _zero(first.scalar)
+    exact = A.scalar == RATIONAL
+    zero = _zero(A.scalar)
 
     def first_or_sum(a, b):
         return b if a is zero else a if b is zero else a + b
 
     acc = [zero] * (t * cols)
-    for n, X in enumerate(mats):
-        _require_same_kind(first, X)
+    for n, X in enumerate((A, B)):
         negate = subtract and n == 1
         if exact:
             plus = first_or_sum if n else None
@@ -192,7 +191,7 @@ def _sum_lifts(mats: list[Matrix], right: bool = False, subtract: bool = False) 
                 row = [(-v if negate else v) if v else zero for v in row]
             for sl in _row_slices(i, X.rows, X.cols, t // X.rows, right):
                 acc[sl] = row if plus is None else map(plus, acc[sl], row)
-    return Matrix(t, cols, tuple(acc), first.scalar)
+    return Matrix(t, cols, tuple(acc), A.scalar)
 
 
 def _require_same_ratio(A: Matrix, B: Matrix) -> None:
@@ -207,22 +206,22 @@ def _require_same_ratio(A: Matrix, B: Matrix) -> None:
 def lplus(A: Matrix, B: Matrix) -> Matrix:
     """Left semi-tensor addition (A x I_{t/m}) + (B x I_{t/p}), t = lcm(m, p)."""
     _require_same_ratio(A, B)
-    return _sum_lifts([A, B])
+    return _sum_lifts(A, B)
 
 
 def lminus(A: Matrix, B: Matrix) -> Matrix:
     """Left semi-tensor difference, lplus(A, -B) without building -B."""
     _require_same_ratio(A, B)
-    return _sum_lifts([A, B], subtract=True)
+    return _sum_lifts(A, B, subtract=True)
 
 
 def rplus(A: Matrix, B: Matrix) -> Matrix:
     """Right semi-tensor addition (I_{t/m} x A) + (I_{t/p} x B)."""
     _require_same_ratio(A, B)
-    return _sum_lifts([A, B], right=True)
+    return _sum_lifts(A, B, right=True)
 
 
 def rminus(A: Matrix, B: Matrix) -> Matrix:
     """Right semi-tensor difference, rplus(A, -B) without building -B."""
     _require_same_ratio(A, B)
-    return _sum_lifts([A, B], right=True, subtract=True)
+    return _sum_lifts(A, B, right=True, subtract=True)

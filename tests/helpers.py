@@ -8,8 +8,8 @@ random matrix generators.
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
 are genuinely dual-route. The ``ref_*`` references follow the
-definitions literally: the library's ``kron`` builds the lifts and the
-arithmetic below multiplies, adds and pairs them, so no library
+definitions literally: ``lift`` builds the identity lifts entry by entry
+and the arithmetic below multiplies, adds and pairs them, so no library
 semi-tensor code is on the reference route. They allocate the lifts the
 library never builds, which the allocation tests measure, and they work
 in both scalar kinds.
@@ -18,7 +18,7 @@ in both scalar kinds.
 from fractions import Fraction
 from math import fsum, lcm
 
-from semitensor import FLOAT64, Matrix, RATIONAL, from_rows, identity, kron
+from semitensor import FLOAT64, Matrix, RATIONAL, from_rows
 from semitensor.matrix import _require_same_kind, _zero, scalar_eq
 
 
@@ -118,50 +118,58 @@ def frobenius_inner(A: Matrix, B: Matrix):
     return sum((a * b for a, b in zip(A.data, B.data)), Fraction(0))
 
 
-# --- Kronecker-built references on Matrix ------------------------------
+# --- references on Matrix, built from the full lifts --------------------
 
-def _lift_left(A: Matrix, s: int) -> Matrix:
-    return kron(A, identity(s, A.scalar))
+def lift(A: Matrix, s: int, right: bool = False) -> Matrix:
+    """A x I_s, or I_s x A if right, placed entry by entry with literal
+    zeros, so that a NaN or an infinity in A stays where the definition
+    puts it instead of spreading through kron's a * 0."""
+    m, n = A.rows, A.cols
+    zero = _zero(A.scalar)
 
+    def entry(r, c):
+        if right:
+            return A.entry(r % m, c % n) if r // m == c // n else zero
+        return A.entry(r // s, c // s) if r % s == c % s else zero
 
-def _lift_right(A: Matrix, s: int) -> Matrix:
-    return kron(identity(s, A.scalar), A)
+    data = tuple(entry(r, c) for r in range(m * s) for c in range(n * s))
+    return Matrix(m * s, n * s, data, A.scalar)
 
 
 def ref_ltimes(A: Matrix, B: Matrix) -> Matrix:
     t = lcm(A.cols, B.rows)
-    return matmul(_lift_left(A, t // A.cols), _lift_left(B, t // B.rows))
+    return matmul(lift(A, t // A.cols), lift(B, t // B.rows))
 
 
 def ref_rtimes(A: Matrix, B: Matrix) -> Matrix:
     t = lcm(A.cols, B.rows)
-    return matmul(_lift_right(A, t // A.cols), _lift_right(B, t // B.rows))
+    return matmul(lift(A, t // A.cols, right=True), lift(B, t // B.rows, right=True))
 
 
 def ref_lplus(A: Matrix, B: Matrix) -> Matrix:
     t = lcm(A.rows, B.rows)
-    return add(_lift_left(A, t // A.rows), _lift_left(B, t // B.rows))
+    return add(lift(A, t // A.rows), lift(B, t // B.rows))
 
 
 def ref_rplus(A: Matrix, B: Matrix) -> Matrix:
     t = lcm(A.rows, B.rows)
-    return add(_lift_right(A, t // A.rows), _lift_right(B, t // B.rows))
+    return add(lift(A, t // A.rows, right=True), lift(B, t // B.rows, right=True))
 
 
 def ref_lminus(A: Matrix, B: Matrix) -> Matrix:
     t = lcm(A.rows, B.rows)
-    return sub(_lift_left(A, t // A.rows), _lift_left(B, t // B.rows))
+    return sub(lift(A, t // A.rows), lift(B, t // B.rows))
 
 
 def ref_rminus(A: Matrix, B: Matrix) -> Matrix:
     t = lcm(A.rows, B.rows)
-    return sub(_lift_right(A, t // A.rows), _lift_right(B, t // B.rows))
+    return sub(lift(A, t // A.rows, right=True), lift(B, t // B.rows, right=True))
 
 
 def ref_inner(A: Matrix, B: Matrix):
     """Pairing of two same-ratio matrices: Frobenius product of the lifts."""
     t = lcm(A.rows, B.rows)
-    return frobenius_inner(_lift_left(A, t // A.rows), _lift_left(B, t // B.rows))
+    return frobenius_inner(lift(A, t // A.rows), lift(B, t // B.rows))
 
 
 # --- peel check, entry by entry ------------------------------------------
@@ -191,7 +199,7 @@ def ref_try_unkron(A: Matrix, s: int, rtol=None):
 
 def _lift_vector(x, R):
     """The representative of class x lifted to R rows, flattened."""
-    return list(_lift_left(x.rep, R // x.rep.rows).data)
+    return list(lift(x.rep, R // x.rep.rows).data)
 
 
 def _row_echelon(rows):

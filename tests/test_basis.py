@@ -1,8 +1,9 @@
 """Basis elements, gcd chains, decomposition and span checks."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -158,6 +159,39 @@ def test_reconstruct_matches_pairwise_folding():
         for e, c in coords.terms.items():
             folded = class_add(folded, scalar_mul(c, unit_class(e)))
         assert reconstruct(coords) == folded == x
+
+
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+def test_reconstruct_is_at_the_lcm_of_the_term_sizes(mu):
+    # Signed coefficients, with a term's lifted cell often cancelled by a
+    # term of twice its size: the class still sits at the lcm of the sizes,
+    # is irreducible, and decomposes back into exactly its coordinates.
+    rng = random.Random(157)
+    pool = enumerate_basis(mu, 6)
+    coeffs = [Fraction(v) for v in (1, -1, 2, -2, "1/2", "-1/3")]
+    for _ in range(25):
+        terms = {rng.choice(pool): rng.choice(coeffs) for _ in range(rng.randint(1, 4))}
+        e = rng.choice(list(terms))
+        j = 2 * e.j1 - 1  # the cell (j1, j1) of size i covers (j, j) of size 2i
+        if e.j1 == e.j2 and 2 * e.i <= 6 and gcd(2 * e.i, j) == 1:
+            terms.setdefault(BasisElement(mu, e.k, e.l, 2 * e.i, j, j), -terms[e])
+        x = reconstruct(Coordinates(mu, terms))
+        assert x.k0 == lcm(*(e.i for e in terms))
+        assert canonicalize(x.rep) == x
+        assert decompose_class(x).terms == terms
+
+
+def test_reconstruct_checks_size_before_allocating():
+    # one term at i = 3200 would be a 3200 x 3200 class, over the budget
+    e = BasisElement(Fraction(1), 1, 1, 3200, 1, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            reconstruct(Coordinates(Fraction(1), {e: Fraction(1)}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _assert_round_trip(x):

@@ -2,14 +2,18 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import as_matrix
+from helpers import as_matrix, lift
 
-from semitensor import canonicalize, decompose_class, ltimes
-from semitensor.cli import build_parser, main
+import semitensor.cli
+from semitensor import (
+    FLOAT64, Matrix, canonicalize, decompose_class, from_rows, lie_bracket, ltimes,
+)
+from semitensor.cli import _to_class, build_parser, main
 from semitensor.io import class_from_dict, coords_from_dict, matrix_from_dict
 
 
@@ -82,6 +86,22 @@ def test_bracket_inner_dist(capsys):
     assert code == 0 and math.isclose(json.loads(out)["value"], math.sqrt(5), rel_tol=1e-15)
 
 
+def test_tol_reaches_bracket_and_dist(capsys):
+    # Near-lifts that --tol 0 keeps apart: the distance is that of the
+    # library at rtol=0.0 (the default tolerance would give 1.0), and the
+    # bracket keeps its 4 x 4 products unpeeled, as lie_bracket at rtol=0.0.
+    exact = ("--scalar", "float64", "--tol", "0")
+    code, out, _ = run(capsys, *exact, "dist", "[1]", "[[2,0],[0,2.0000000005]]")
+    assert code == 0 and json.loads(out)["value"] == 1.4142135627266486
+    a = [[1.0000000001, 0, 2, 0], [0, 1, 0, 2], [3, 0, 4, 0], [0, 3, 0, 4]]
+    b = [[0, 1.0], [1, 0]]
+    code, out, _ = run(capsys, *exact, "bracket", json.dumps(a), json.dumps(b))
+    x, y = (canonicalize(from_rows(m, FLOAT64), rtol=0.0) for m in (a, b))
+    want = lie_bracket(x, y, rtol=0.0)
+    assert code == 0 and class_from_dict(json.loads(out)) == want
+    assert want.k0 == 4 and lie_bracket(x, y).k0 == 2
+
+
 def test_cauchy_csv(capsys, tmp_path):
     out = tmp_path / "gaps.csv"
     code, stdout, _ = run(capsys, "--out", str(out), "cauchy", "--a1", "[1,2]", "--nmax", "6")
@@ -152,6 +172,8 @@ def test_overflowed_result_is_domain_error(capsys):
     pytest.param(("reconstruct",), {"coeff": "1", "i": 1.9}, 2, "parse", id="float_index"),
     pytest.param(("basis-list", "--mu", "1", "--imax", "10000"), None, 1, "domain",
                  id="oversized_basis_list"),
+    pytest.param(("reconstruct",), {"coeff": "1", "i": 10**5}, 1, "domain",
+                 id="oversized_reconstruct"),
 ])
 def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, error):
     if term is not None:
@@ -226,6 +248,55 @@ def test_float_ambiguity_is_domain_error(capsys):
                        "[[2.0,1e-16],[0.0,2.0]]")
     assert code == 1
     assert json.loads(err)["error"] == "domain"
+
+
+def test_float_input_is_canonicalized_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(A, rtol=None):
+        calls.append(rtol)
+        return canonicalize(A, rtol)
+
+    monkeypatch.setattr(semitensor.cli, "canonicalize", counted)
+    code, out, _ = run(capsys, "--scalar", "float64", "canon", "[[2.0,0],[0,2.0]]")
+    assert code == 0 and class_from_dict(json.loads(out)).k0 == 1
+    assert calls == [1e-9]
+
+
+def test_ambiguity_check_agrees_with_comparing_both_canonical_shapes():
+    # _to_class refuses a float input exactly when its canonical shapes at
+    # tol and at 0 differ, and otherwise returns the class at tol
+    rng = random.Random(167)
+    refused = 0
+    for _ in range(120):
+        m, n, s = rng.randint(1, 2), rng.randint(1, 2), rng.choice((2, 3, 4))
+        B = from_rows([[rng.choice((0.0, 1.0, rng.uniform(-2, 2))) for _ in range(n)]
+                       for _ in range(m)], FLOAT64)
+        data = list(lift(B, s).data)
+        pos = rng.randrange(len(data))
+        data[pos] += rng.choice((1e-16, 1e-12, 1e-8, 0.3)) * (data[pos] or 1.0)
+        A = Matrix(m * s, n * s, tuple(data), FLOAT64)
+        for tol in (0.0, 1e-9, 1e-6, 0.5, 2.0):
+            at_tol = canonicalize(A, rtol=tol)
+            if at_tol.rep.shape != canonicalize(A, rtol=0.0).rep.shape:
+                refused += 1
+                with pytest.raises(ValueError, match="ambiguous"):
+                    _to_class(A, tol)
+            else:
+                assert _to_class(A, tol) == at_tol
+    assert refused > 0
+
+
+def test_cauchy_over_budget_is_refused_before_building(capsys, monkeypatch):
+    # a 13 x 13 seed at --nmax 9 would end at 3328 x 3328 entries
+    def build(cfg):
+        raise AssertionError("the sequence was built")
+
+    monkeypatch.setattr(semitensor.cli, "cauchy_sequence", build)
+    code, out, err = run(capsys, "cauchy", "--a1", json.dumps([[1.0] * 13] * 13), "--nmax", "9")
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "domain" and "budget" in error["message"]
 
 
 def test_cauchy_rejects_zero_entries(capsys):

@@ -237,7 +237,7 @@ def test_sums_and_reconstruct_with_adversarial_denominators(case):
         for A, B in ((X, Y), (Y, X)):
             for op, ref in SUMS:
                 assert op(A, B) == ref(A, B), op.__name__
-        # reconstruct sums one unit matrix per size i, lifted to their lcm
+        # reconstruct places every unit at the lcm of the sizes i
         for Z in (X, Y):
             x = canonicalize(Z)
             coords = decompose_class(x)
@@ -288,6 +288,9 @@ def float_matrices(draw, rows=None, cols=None, entries=finite_floats):
 # every finite float, ±0.0 often: products and sums can overflow, so the
 # order in which a cell accumulates shows
 any_finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+# the same with ±inf and NaN, often: the references lift by placement, so
+# a non-finite entry spreads no NaN into a lift's zeros
+any_floats = any_finite_floats | st.sampled_from([math.inf, -math.inf, math.nan])
 
 
 @given(float_matrices(entries=any_finite_floats), float_matrices(entries=any_finite_floats))
@@ -326,8 +329,8 @@ def float_sum_pairs(draw):
     # lift factors up to 4 on each side
     p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     s, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    return (draw(float_matrices(s * p, s * q, any_finite_floats)),
-            draw(float_matrices(t * p, t * q, any_finite_floats)))
+    return (draw(float_matrices(s * p, s * q, any_floats)),
+            draw(float_matrices(t * p, t * q, any_floats)))
 
 
 @given(float_sum_pairs())

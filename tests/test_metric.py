@@ -174,6 +174,15 @@ def test_cauchy_config_validation():
         CauchyConfig(as_matrix([[1, 2]]), 3)
 
 
+def test_cauchy_config_checks_size_before_building():
+    # a 13 x 13 seed ends at 13 * 2^8 = 3328 rows at n_max 9: 11,075,584
+    # entries, over the budget; at n_max 8 it ends at 1664 x 1664
+    seed = from_rows([[1.0] * 13] * 13, FLOAT64)
+    with pytest.raises(ValueError, match="budget"):
+        CauchyConfig(seed, 9)
+    assert CauchyConfig(seed, 8).n_max == 8
+
+
 def test_predicted_gap_examples():
     assert math.isclose(predicted_gap(1, 1, 2), 2 * math.exp(-2), rel_tol=1e-15)
     assert math.isclose(predicted_gap(2, 1, 2), 4 * math.exp(-4), rel_tol=1e-15)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import matrices
-from helpers import as_matrix, rand_matrix, ref_try_unkron
+from helpers import as_matrix, lift, rand_matrix, ref_try_unkron
 
 from semitensor import (
     Matrix,
@@ -220,18 +220,6 @@ def test_float_mode_tolerance_dependence():
     assert canonicalize(noisy, rtol=0.0).rep.shape == (2, 2)
 
 
-def _lift_entries(A: Matrix, s: int) -> list:
-    """Entries of A x I_s with literal zeros, so that a NaN or an infinity
-    in A does not spread into the off-diagonal positions as it would
-    through kron's a * 0."""
-    zero = Fraction(0) if A.scalar != FLOAT64 else 0.0
-    return [
-        A.entry(r // s, c // s) if r % s == c % s else zero
-        for r in range(A.rows * s)
-        for c in range(A.cols * s)
-    ]
-
-
 def _with(A: Matrix, rows: int, cols: int, data: list, pos: int, value) -> Matrix:
     data = list(data)
     data[pos] = value
@@ -242,9 +230,9 @@ def _peel_cases(A: Matrix, s: int, eps):
     """The lift of A by s, and near-lifts of it: an off-diagonal entry of a
     random block made nonzero, and a diagonal entry of the last block
     moved by eps (a relative amount in float mode)."""
-    rows, cols = A.rows * s, A.cols * s
-    data = _lift_entries(A, s)
-    yield Matrix(rows, cols, tuple(data), A.scalar)
+    lifted = lift(A, s)
+    rows, cols, data = lifted.rows, lifted.cols, lifted.data
+    yield lifted
     for i, j in ((0, 0), (A.rows - 1, A.cols - 1), (A.rows // 2, A.cols - 1)):
         a, b = 0, s - 1
         yield _with(A, rows, cols, data, (i * s + a) * cols + j * s + b, eps)
