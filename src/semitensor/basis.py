@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrix import RATIONAL, Matrix, e_matrix
+from .matrix import RATIONAL, Matrix
 from .quotient import MatrixClass, zero_class
 from .stp import _check_budget, _row_slices
 
@@ -94,11 +94,9 @@ class Coordinates:
 
 
 def unit_class(e: BasisElement) -> MatrixClass:
-    """The class named by a basis element: the unit itself, whose one
-    nonzero entry makes it no lift B x I_s (that has s >= 2 of them)."""
-    p, q, i = e.mu.numerator, e.mu.denominator, e.i
-    rep = e_matrix(p * i, q * i, (e.k - 1) * i + e.j1 - 1, (e.l - 1) * i + e.j2 - 1)
-    return MatrixClass(e.mu, rep)
+    """The class named by a basis element: the one-term ``reconstruct``,
+    so its size is checked against the budget before it is built."""
+    return reconstruct(Coordinates(e.mu, {e: Fraction(1)}))
 
 
 def _chain(i: int, targets: tuple[int, ...]) -> list[int]:

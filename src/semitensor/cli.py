@@ -227,10 +227,7 @@ def _run(args) -> None:
         _emit(sio.dump_json({
             "mu": str(mu),
             "i_max": args.imax,
-            "elements": [
-                {"kind": e.kind, "k": e.k, "l": e.l, "i": e.i, "j1": e.j1, "j2": e.j2}
-                for e in elems
-            ],
+            "elements": [sio.element_to_dict(e) for e in elems],
         }), args.out)
 
 

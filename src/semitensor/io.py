@@ -26,8 +26,10 @@ def format_entry(v, kind: str):
 
 
 def _integer(value, name: str) -> int:
-    """A shape or index field, which must be a JSON integer."""
+    """A shape or index field, which must be a JSON integer (not a bool)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError as exc:
         raise ValueError(f"{name} must be an integer, got {value!r}") from exc
@@ -83,20 +85,15 @@ def class_from_dict(d: dict) -> MatrixClass:
     return cls
 
 
+def element_to_dict(e: BasisElement) -> dict:
+    return {"kind": e.kind, "k": e.k, "l": e.l, "i": e.i, "j1": e.j1, "j2": e.j2}
+
+
 def coords_to_dict(c: Coordinates) -> dict:
-    terms = []
-    for e in sorted(c.terms, key=BasisElement.sort_key):
-        terms.append(
-            {
-                "kind": e.kind,
-                "k": e.k,
-                "l": e.l,
-                "i": e.i,
-                "j1": e.j1,
-                "j2": e.j2,
-                "coeff": str(c.terms[e]),
-            }
-        )
+    terms = [
+        {**element_to_dict(e), "coeff": str(c.terms[e])}
+        for e in sorted(c.terms, key=BasisElement.sort_key)
+    ]
     return {"mu": str(c.mu), "terms": terms}
 
 

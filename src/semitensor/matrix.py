@@ -37,7 +37,10 @@ def allocated_elems() -> int:
 
 
 def as_scalar(value, kind: str) -> Scalar:
-    """Coerce a number (or 'num/den' string) into the given scalar kind."""
+    """Coerce a number (or 'num/den' string) into the given scalar kind.
+    A bool is refused: JSON's true and false are not the numbers 1 and 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"refusing bool {value!r} as a {kind} scalar")
     if kind == RATIONAL:
         if isinstance(value, float):
             raise ValueError(

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .matrix import FLOAT64, Matrix, _require_same_kind
 from .quotient import MatrixClass, _require_same_mu, canonicalize, class_sub
@@ -41,10 +40,10 @@ def inner(x: MatrixClass, y: MatrixClass):
     only if i = j (mod sy), at the lifted positions (i*sx + d, j*sx + d),
     d < sx. Each lifted row therefore pairs two strided slices, one of
     X's row and one of Y's. Products of nonzero entries stream in
-    row-major lifted order: float mode sums them with ``math.fsum``
-    (whose overflow depends on that order); exact mode scales the rows of
-    both representatives to integers, sums each lifted row's integer
-    products and divides by its two row scales once.
+    row-major lifted order through one generator: float mode sums them
+    with ``math.fsum`` (whose overflow depends on that order); exact mode
+    scales each representative to integers over one common denominator,
+    sums the integer products and divides by the two denominators once.
     """
     _require_same_mu(x, y)
     _require_same_kind(x.rep, y.rep)
@@ -53,7 +52,7 @@ def inner(x: MatrixClass, y: MatrixClass):
     sx, sy = t // X.rows, t // Y.rows
     exact = x.scalar != FLOAT64
     if exact:
-        (xs, x_scale), (ys, y_scale) = _integers(X), _integers(Y)
+        (xs, dx), (ys, dy) = _integers(X), _integers(Y)
     else:
         xs, ys = X.data, Y.data
 
@@ -65,17 +64,11 @@ def inner(x: MatrixClass, y: MatrixClass):
             j0 = i % sy
             a = xs[i * X.cols + j0 : (i + 1) * X.cols : sy]
             for d in range(sx):
-                r = i * sx + d
-                y_row = r // sy * Y.cols
-                yield r, a, ys[y_row + (j0 * sx + d) // sy : y_row + Y.cols : sx]
+                y_row = (i * sx + d) // sy * Y.cols
+                yield a, ys[y_row + (j0 * sx + d) // sy : y_row + Y.cols : sx]
 
-    if not exact:
-        return math.fsum(v * w for _, a, b in lifted_rows() for v, w in zip(a, b) if v and w)
-    row_sums = ((r, sum(map(mul, a, b))) for r, a, b in lifted_rows())
-    return sum(
-        (Fraction(n, x_scale[r // sx] * y_scale[r // sy]) for r, n in row_sums if n),
-        Fraction(0),
-    )
+    products = (v * w for a, b in lifted_rows() for v, w in zip(a, b) if v and w)
+    return Fraction(sum(products), dx * dy) if exact else math.fsum(products)
 
 
 def norm(x: MatrixClass) -> float:

@@ -18,15 +18,14 @@ the pairing there reads both lifts as strided row slices. Everything
 allocates only its result. Exact mode agrees bit for bit with the
 Kronecker-built definitions, which the test suite keeps as references.
 
-In exact mode a product does its arithmetic on Python ints: each row of
-A is scaled by the lcm of that row's denominators and each column of B
-by the lcm of that column's, the integer numerators are multiplied and
-summed a lifted row at a time, and each output cell becomes one
-``Fraction`` at the end. Scaling per row and column rather than per
-matrix keeps the integers small when denominators differ across the
-matrix. Float mode multiplies the entries as they are. Neither mode
-multiplies a stored zero of either lift, so an inf or NaN entry facing
-a zero adds nothing where the ordinary product of the lifts makes NaN.
+In exact mode a product does its arithmetic on Python ints: each
+operand is scaled by one common denominator, the lcm of all its
+denominators, the integer numerators are multiplied and summed a lifted
+row at a time, and each nonzero output cell becomes one ``Fraction``
+over the product of the two denominators. Float mode multiplies the
+entries as they are. Neither mode multiplies a stored zero of either
+lift, so an inf or NaN entry facing a zero adds nothing where the
+ordinary product of the lifts makes NaN.
 
 Every result is checked against a size budget, ``_MAX_ENTRIES``, before
 anything is allocated; a larger result raises ``ValueError``.
@@ -76,8 +75,8 @@ def _row_slices(i: int, m: int, n: int, s: int, right: bool = False) -> list[sli
 def _lifted_rows(data, m: int, n: int, s: int, right: bool = False):
     """The rows of X x I_s, or of I_s x X if right, that hold a nonzero
     entry, where X is the m x n matrix whose row-major entries are
-    ``data``, placed by ``_row_slices``: (i, r, columns, row) says that
-    lifted row r holds row i of X, ``row``, at ``columns`` (a range) and
+    ``data``, placed by ``_row_slices``: (r, columns, row) says that
+    lifted row r holds a row of X, ``row``, at ``columns`` (a range) and
     zeros elsewhere. Lifted rows come in the order of ``_row_slices``."""
     width = n * s
     for i in range(m):
@@ -86,26 +85,22 @@ def _lifted_rows(data, m: int, n: int, s: int, right: bool = False):
             for sl in _row_slices(i, m, n, s, right):
                 r, c = divmod(sl.start, width)
                 step = sl.step or 1
-                yield i, r, range(c, c + n * step, step), row
+                yield r, range(c, c + n * step, step), row
 
 
-def _integers(A: Matrix, by_col: bool = False) -> tuple[list[int], list[int]]:
-    """Entries of a rational A as ints, each row (or column, if by_col)
-    multiplied by the lcm of its denominators; and those lcms."""
-    m, n = A.rows, A.cols
-    lines = [A.data[j::n] for j in range(n)] if by_col else [A.row(i) for i in range(m)]
-    scales = [lcm(*(v.denominator for v in line)) for line in lines]
-    per_entry = scales * m if by_col else [d for d in scales for _ in range(n)]
-    return [v.numerator * (d // v.denominator) for v, d in zip(A.data, per_entry)], scales
+def _integers(A: Matrix) -> tuple[list[int], int]:
+    """Entries of a rational A as ints over one common denominator d, the
+    lcm of all of A's denominators; and d."""
+    d = lcm(*(v.denominator for v in A.data))
+    return [v.numerator * (d // v.denominator) for v in A.data], d
 
 
 def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
     # Output row r of the product sums, over the nonzero entries v at
     # column k of lifted row r of A, v times the nonzero entries of lifted
     # row k of B: each cell accumulates over ascending k, exactly as the
-    # ordinary product of the two lifts would. In exact mode, where row r
-    # holds row i of A, it sums integer numerators, and cell (r, c) has
-    # the common denominator a_scale[i] * col_scale[c].
+    # ordinary product of the two lifts would. In exact mode it sums
+    # integer numerators, and every cell has the denominator da * db.
     _require_same_kind(A, B)
     t = lcm(A.cols, B.rows)
     sa, sb = t // A.cols, t // B.rows
@@ -114,29 +109,22 @@ def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
     exact = A.scalar == RATIONAL
     zero = _zero(A.scalar)
     if exact:
-        a_data, a_scale = _integers(A)
-        b_data, b_scale = _integers(B, by_col=True)
-        # B's column scales lift like one row of B: each slice of that row,
-        # shifted back to lifted row 0, says which columns take which scale.
-        col_scale = [0] * cols
-        for sl in _row_slices(0, 1, B.cols, sb, right):
-            r0 = sl.start - sl.start % cols
-            col_scale[sl.start - r0 : sl.stop - r0 : sl.step] = b_scale
+        (a_data, da), (b_data, db) = _integers(A), _integers(B)
+        d = da * db
     else:
         a_data, b_data = A.data, B.data
     b_rows = [()] * t
-    for _, k, cs, row in _lifted_rows(b_data, B.rows, B.cols, sb, right):
+    for k, cs, row in _lifted_rows(b_data, B.rows, B.cols, sb, right):
         b_rows[k] = [(c, w) for c, w in zip(cs, row) if w]
     out = [zero] * (rows * cols)
-    for i, r, ks, row in _lifted_rows(a_data, A.rows, A.cols, sa, right):
+    for r, ks, row in _lifted_rows(a_data, A.rows, A.cols, sa, right):
         acc = [0 if exact else 0.0] * cols
         for k, v in zip(ks, row):
             if v:
                 for c, w in b_rows[k]:
                     acc[c] += v * w
         if exact:
-            d = a_scale[i]
-            acc = [Fraction(v, d * e) if v else zero for v, e in zip(acc, col_scale)]
+            acc = [Fraction(v, d) if v else zero for v in acc]
         out[r * cols : (r + 1) * cols] = acc
     return Matrix(rows, cols, tuple(out), A.scalar)
 

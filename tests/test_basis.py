@@ -8,12 +8,14 @@ from math import gcd, lcm
 import pytest
 
 import semitensor.basis
+import semitensor.stp
 from helpers import add, as_matrix, rand_matrix, ref_in_span, ref_independent
 
 from semitensor import (
     BasisElement,
     Coordinates,
     GcdChain,
+    allocated_elems,
     canonicalize,
     class_add,
     decompose_class,
@@ -192,6 +194,18 @@ def test_reconstruct_checks_size_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_unit_class_checks_size_before_allocating(monkeypatch):
+    # the unit of mu = 2/3 at i = 4 is 8 x 12, one entry over this budget
+    e = BasisElement(Fraction(2, 3), 2, 3, 4, 1, 2)
+    monkeypatch.setattr(semitensor.stp, "_MAX_ENTRIES", 2 * 3 * 4 * 4 - 1)
+    before = allocated_elems()
+    with pytest.raises(ValueError, match="budget"):
+        unit_class(e)
+    assert allocated_elems() == before
+    monkeypatch.setattr(semitensor.stp, "_MAX_ENTRIES", 2 * 3 * 4 * 4)
+    assert unit_class(e).rep == e_matrix(8, 12, 4, 9)
 
 
 def _assert_round_trip(x):

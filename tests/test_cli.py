@@ -174,6 +174,11 @@ def test_overflowed_result_is_domain_error(capsys):
                  id="oversized_basis_list"),
     pytest.param(("reconstruct",), {"coeff": "1", "i": 10**5}, 1, "domain",
                  id="oversized_reconstruct"),
+    pytest.param(("stp", "[[false, 2]]", "[[1]]"), None, 2, "parse", id="boolean_entry"),
+    pytest.param(("--scalar", "float64", "inner", "[[true]]", "[[true]]"), None, 2, "parse",
+                 id="boolean_float_entry"),
+    pytest.param(("reconstruct",), {"k": True, "coeff": True}, 2, "parse",
+                 id="boolean_term"),
 ])
 def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, error):
     if term is not None:

@@ -41,13 +41,16 @@ def test_matrix_json_schema():
         matrix_from_dict({"rows": 1, "cols": 1, "scalar": "decimal", "data": ["1"]})
     with pytest.raises(ValueError):
         matrix_from_dict({"rows": 1, "cols": 1})
-    # float literals are not valid rational data
-    with pytest.raises(ValueError):
-        matrix_from_dict({"rows": 1, "cols": 1, "scalar": "rational", "data": [0.5]})
-    # shape fields are JSON integers, never truncated floats or strings
+    # float literals are not valid rational data, and booleans are no data
+    for scalar, value in (("rational", 0.5), ("rational", True), ("float64", False)):
+        with pytest.raises(ValueError):
+            matrix_from_dict({"rows": 1, "cols": 1, "scalar": scalar, "data": [value]})
+    # shape fields are JSON integers, never truncated floats, strings or bools
     for rows in (2.7, 2.0, "2"):
         with pytest.raises(ValueError):
             matrix_from_dict({"rows": rows, "cols": 1, "scalar": "rational", "data": ["1", "2"]})
+    with pytest.raises(ValueError):
+        matrix_from_dict({"rows": True, "cols": True, "scalar": "rational", "data": ["1"]})
 
 
 def test_matrix_csv_round_trip():
@@ -103,6 +106,7 @@ def test_coords_round_trip():
 @pytest.mark.parametrize("term", [
     {"coeff": "1/0"}, {}, {"coeff": "1", "k": None},
     {"coeff": 0.1}, {"coeff": "1", "i": 1.9}, {"coeff": "1", "j1": "1"}, {"coeff": "1", "l": 1.0},
+    {"coeff": "1", "k": True}, {"coeff": True},
 ])
 def test_coords_from_dict_rejects_bad_terms_with_value_error(term):
     full = {"k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1, **term}

@@ -30,12 +30,15 @@ from semitensor import (
     MatrixClass,
     allocated_elems,
     canonicalize,
+    class_mul,
     decompose_class,
+    dist,
     eq_within,
     from_rows,
     identity,
     inner,
     kron,
+    lie_bracket,
     lminus,
     lplus,
     ltimes,
@@ -219,12 +222,19 @@ def test_products_and_inner_with_adversarial_denominators(case):
             plain_b = _adversarial("distinct_primes", rng, sb, primes)
             for X, Y in ((plain_a, _adversarial(case, rng, sb, primes)),
                          (_adversarial(case, rng, sa, primes), plain_b)):
+                x, y = canonicalize(X), canonicalize(Y)
                 if ops == "products":
                     assert ltimes(X, Y) == ref_ltimes(X, Y)
                     assert rtimes(X, Y) == ref_rtimes(X, Y)
+                    assert class_mul(x, y) == canonicalize(ref_ltimes(x.rep, y.rep))
                 else:
                     got = inner(MatrixClass(ratio_of(X), X), MatrixClass(ratio_of(Y), Y))
                     assert type(got) is Fraction and got == ref_inner(X, Y)
+                    d = canonicalize(ref_lminus(x.rep, y.rep)).rep
+                    assert dist(x, y) == math.sqrt(ref_inner(d, d))
+                if sa[0] == sa[1] and sb[0] == sb[1]:
+                    xy, yx = ref_ltimes(x.rep, y.rep), ref_ltimes(y.rep, x.rep)
+                    assert lie_bracket(x, y) == canonicalize(ref_lminus(xy, yx))
 
 
 @pytest.mark.parametrize("case", ["distinct_primes", "zero_lines", "zero_operand"])

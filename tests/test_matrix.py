@@ -126,6 +126,11 @@ def test_validation():
         from_rows([[1], [2, 3]])
     with pytest.raises(ValueError):
         from_rows([[0.5]], RATIONAL)
+    # a bool is not the number 1 or 0, in either kind
+    for kind in (RATIONAL, FLOAT64):
+        for value in (True, False):
+            with pytest.raises(ValueError, match="bool"):
+                from_rows([[value, 2]], kind)
 
 
 @pytest.mark.parametrize("scalar, data, message", [
