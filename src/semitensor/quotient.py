@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .matrix import RATIONAL, Matrix, eq_within, scalar_eq, scale, zeros
-from .stp import lminus, lplus, ltimes, ratio_of
+from .stp import _commutator, lminus, lplus, ltimes, ratio_of
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -166,7 +166,11 @@ def class_mul(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> Matr
 
 
 def lie_bracket(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> MatrixClass:
-    """[x, y] = x*y - y*x on the ratio-1 space."""
+    """[x, y] = x*y - y*x on the ratio-1 space. Exact mode canonicalizes
+    once, the integer sum XY - YX of the raw products; float mode
+    canonicalizes each product and their difference at rtol."""
     if x.mu != 1 or y.mu != 1:
         raise ValueError(f"bracket needs ratio 1, got {x.mu} and {y.mu}")
+    if x.scalar == y.scalar == RATIONAL:
+        return canonicalize(_commutator(x.rep, y.rep))
     return class_sub(class_mul(x, y, rtol), class_mul(y, x, rtol), rtol)

@@ -22,10 +22,13 @@ In exact mode a product does its arithmetic on Python ints: each
 operand is scaled by one common denominator, the lcm of all its
 denominators, the integer numerators are multiplied and summed a lifted
 row at a time, and each nonzero output cell becomes one ``Fraction``
-over the product of the two denominators. Float mode multiplies the
-entries as they are. Neither mode multiplies a stored zero of either
-lift, so an inf or NaN entry facing a zero adds nothing where the
-ordinary product of the lifts makes NaN.
+over the product of the two denominators. The exact Lie bracket's
+XY - YX (``_commutator``) sums both t x t products, whose denominator is
+the same, into one such integer accumulator, X negated once in YX, and
+builds its one matrix from it. Float mode multiplies the entries as
+they are. Neither mode multiplies a stored zero of either lift, so an
+inf or NaN entry facing a zero adds nothing where the ordinary product
+of the lifts makes NaN.
 
 Every result is checked against a size budget, ``_MAX_ENTRIES``, before
 anything is allocated; a larger result raises ``ValueError``.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .matrix import RATIONAL, Matrix, _require_same_kind, _zero
@@ -95,38 +99,50 @@ def _integers(A: Matrix) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in A.data], d
 
 
-def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
-    # Output row r of the product sums, over the nonzero entries v at
-    # column k of lifted row r of A, v times the nonzero entries of lifted
-    # row k of B: each cell accumulates over ascending k, exactly as the
-    # ordinary product of the two lifts would. In exact mode it sums
-    # integer numerators, and every cell has the denominator da * db.
-    _require_same_kind(A, B)
+def _product_sum(terms, d: int = 1, right: bool = False) -> Matrix:
+    # The sum of the products of the lifts of A and B over (A, a, B, b) in
+    # terms, all of one shape and kind; a and b are the row-major entries
+    # read, A's and B's own or, in exact mode, their integer numerators
+    # over a common d of every product. Output row r sums, over the
+    # nonzero v at column k of lifted row r of A, v times the nonzero
+    # entries of lifted row k of B: each cell accumulates over ascending
+    # k, exactly as the ordinary product of the two lifts would.
+    A, _, B, _ = terms[0]
     t = lcm(A.cols, B.rows)
-    sa, sb = t // A.cols, t // B.rows
-    rows, cols = A.rows * sa, B.cols * sb
+    rows, cols = A.rows * t // A.cols, B.cols * t // B.rows
     _check_budget(rows, cols)
     exact = A.scalar == RATIONAL
-    zero = _zero(A.scalar)
+    acc = [[0 if exact else 0.0] * cols for _ in range(rows)]
+    for A, a, B, b in terms:
+        b_rows = [()] * t
+        for k, cs, row in _lifted_rows(b, B.rows, B.cols, t // B.rows, right):
+            b_rows[k] = [(c, w) for c, w in zip(cs, row) if w]
+        for r, ks, row in _lifted_rows(a, A.rows, A.cols, t // A.cols, right):
+            out = acc[r]
+            for k, v in zip(ks, row):
+                if v:
+                    for c, w in b_rows[k]:
+                        out[c] += v * w
     if exact:
-        (a_data, da), (b_data, db) = _integers(A), _integers(B)
-        d = da * db
-    else:
-        a_data, b_data = A.data, B.data
-    b_rows = [()] * t
-    for k, cs, row in _lifted_rows(b_data, B.rows, B.cols, sb, right):
-        b_rows[k] = [(c, w) for c, w in zip(cs, row) if w]
-    out = [zero] * (rows * cols)
-    for r, ks, row in _lifted_rows(a_data, A.rows, A.cols, sa, right):
-        acc = [0 if exact else 0.0] * cols
-        for k, v in zip(ks, row):
-            if v:
-                for c, w in b_rows[k]:
-                    acc[c] += v * w
-        if exact:
-            acc = [Fraction(v, d) if v else zero for v in acc]
-        out[r * cols : (r + 1) * cols] = acc
-    return Matrix(rows, cols, tuple(out), A.scalar)
+        zero = _zero(RATIONAL)
+        for row in acc:
+            row[:] = [Fraction(v, d) if v else zero for v in row]
+    return Matrix(rows, cols, tuple(chain.from_iterable(acc)), A.scalar)
+
+
+def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
+    _require_same_kind(A, B)
+    if A.scalar != RATIONAL:
+        return _product_sum([(A, A.data, B, B.data)], right=right)
+    (a, da), (b, db) = _integers(A), _integers(B)
+    return _product_sum([(A, a, B, b)], da * db, right)
+
+
+def _commutator(X: Matrix, Y: Matrix) -> Matrix:
+    """XY - YX for square rational X and Y: both products are t x t,
+    t = lcm of the sizes, over dx * dy, so one integer sum holds both."""
+    (x, dx), (y, dy) = _integers(X), _integers(Y)
+    return _product_sum([(X, x, Y, y), (Y, y, X, [-v for v in x])], dx * dy)
 
 
 def ltimes(A: Matrix, B: Matrix) -> Matrix:

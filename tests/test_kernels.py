@@ -130,6 +130,10 @@ def test_lift_free_allocation_at_coprime_sizes(n, p):
     x, y = MatrixClass(ratio_of(A), A), MatrixClass(ratio_of(B), B)
     alloc, _ = _alloc_during(inner, x, y)
     assert alloc == 0
+    # the exact bracket builds XY - YX alone, then its peeled class if any
+    alloc, out = _alloc_during(lie_bracket, x, y)
+    t = lcm(n, p)
+    assert alloc == t * t + (out.rep.rows * out.rep.cols if out.k0 < t else 0)
 
 
 @pytest.mark.parametrize("n, p", [(4, 9), (8, 9)])

@@ -143,6 +143,31 @@ def test_lie_bracket_examples():
         lie_bracket(x, canonicalize(as_matrix([[1, 2]])))
 
 
+def test_lie_bracket_rejects_mixed_kinds():
+    x = canonicalize(as_matrix([[0, 1], [0, 0]]))
+    xf = canonicalize(from_rows([[0.0, 1.0], [0.0, 0.0]], FLOAT64))
+    for a, b in ((x, xf), (xf, x)):
+        with pytest.raises(ValueError, match="scalar kinds differ"):
+            lie_bracket(a, b)
+
+
+def test_exact_bracket_is_the_difference_of_the_product_classes():
+    # The exact bracket canonicalizes one integer sum XY - YX; by definition
+    # it is the class of the difference of the two product classes.
+    rng = random.Random(127)
+    one = Fraction(1)
+    sizes = [(n, m) for n in range(1, 7) for m in range(1, 7)] + [(4, 9), (10, 12)]
+    for n, m in sizes:
+        for den in (1, 3, 97):
+            x = canonicalize(rand_matrix(rng, n, n, max_den=den))
+            y = canonicalize(rand_matrix(rng, m, m, max_den=den))
+            c = canonicalize(as_matrix([[Fraction(rng.randint(-9, 9), den)]]))
+            for a, b in ((x, y), (y, x), (x, x), (x, zero_class(one)), (c, y)):
+                assert lie_bracket(a, b) == class_sub(class_mul(a, b), class_mul(b, a))
+            assert lie_bracket(x, x) == lie_bracket(c, y) == zero_class(one)
+            assert lie_bracket(c, y).rep == as_matrix([[0]])
+
+
 def _random_class(rng, mu, max_k0=3):
     k0 = rng.randint(1, max_k0)
     return canonicalize(rand_matrix(rng, k0 * mu.numerator, k0 * mu.denominator))
