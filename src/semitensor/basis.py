@@ -6,7 +6,8 @@ gcd(i, j1, j2) = 1 (on the diagonal j1 = j2 this is gcd(i, j1) = 1).
 A general unit with gcd > 1 telescopes into such elements through greedy
 gcd chains: the plus-chain walks j down to 0 in steps f_n = gcd(i, rest),
 the minus-chain walks j-1 down to 0, and the signed sum of the emitted
-coprime units reproduces the original unit after lifting.
+coprime units reproduces the original unit after lifting. Coordinates
+run all of a class's chains at once, as integer weights on diagonals.
 
 Because these classes form a basis, decompose_class is an exact linear
 isomorphism onto finite-support coordinates. Span and independence
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrix import RATIONAL, Matrix
+from .matrix import RATIONAL, Matrix, as_scalar
 from .quotient import MatrixClass, zero_class
 from .stp import _check_budget, _row_slices
 
@@ -79,13 +80,16 @@ class GcdChain:
 class Coordinates:
     """Finite-support expansion of a class over basis elements.
 
-    Only nonzero rational coefficients are stored, all keys share mu.
+    Only nonzero rational coefficients are stored, all keys share mu; each
+    passes ``as_scalar(c, RATIONAL)`` (an int is made a Fraction).
     """
 
     mu: Fraction
     terms: dict[BasisElement, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        if any(type(c) is not Fraction for c in self.terms.values()):
+            self.terms = {e: as_scalar(c, RATIONAL) for e, c in self.terms.items()}
         for e, c in self.terms.items():
             if e.mu != self.mu:
                 raise ValueError(f"term {e} has ratio {e.mu}, expected {self.mu}")
@@ -128,78 +132,73 @@ def gcd_chain(i: int, j1: int, j2: int | None = None) -> GcdChain:
 
 
 def decompose_unit(mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> Coordinates:
-    """Expand the class of E(p x q; k, l) x E(i x i; j1, j2) over the basis.
-
-    When the coprimality condition already holds this is a single term;
-    otherwise the plus-chain terms enter with +1 and the minus-chain
-    terms with -1. Every emitted index is coprime by construction
-    (dividing a gcd out of its own arguments leaves gcd 1), which the
-    BasisElement validator re-checks.
-    """
+    """Expand the class of E(p x q; k, l) x E(i x i; j1, j2) over the basis:
+    the plus-chain terms with +1 and the minus-chain terms with -1, so a
+    coprime unit is itself. The BasisElement validator re-checks that each
+    emitted index is coprime (a gcd divided out of its arguments leaves 1)."""
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
     if not (1 <= k <= p and 1 <= l <= q and 1 <= j1 <= i and 1 <= j2 <= i):
         raise ValueError(f"indices (k={k}, l={l}, i={i}, j1={j1}, j2={j2}) out of range")
     return Coordinates(mu, {
         BasisElement(mu, k, l, size, a, b): Fraction(c)
-        for (size, a, b), c in _telescope(i, j1, j2).items()
+        for (size, a, b, _, _), c in _carry(i, i, [((j1 - 1) * i + j2 - 1, 1)]).items()
     })
 
 
-def _telescope(i: int, j1: int, j2: int) -> dict[tuple[int, int, int], int]:
-    # Nonzero coefficients of the unit E(i x i; j1, j2) over the coprime
-    # units, keyed by (size, j1, j2): the chains of gcd_chain, unchecked.
-    if gcd(i, j1, j2) == 1:  # gcd(i, j1) == 1 on the diagonal
-        return {(i, j1, j2): 1}
-    lo, hi = min(j1, j2), max(j1, j2)
-    acc: dict[tuple[int, int, int], int] = {}
-    for start_lo, start_hi, sign in ((lo, hi, 1), (lo - 1, hi - 1, -1)):
-        pre = 0
-        for s in _chain(i, (start_lo, start_hi)):
-            x = (start_lo - pre) // s
-            y = (start_hi - pre) // s
-            key = (i // s, y, x) if j1 > j2 else (i // s, x, y)
-            acc[key] = acc.get(key, 0) + sign
-            pre += s
-    return {key: c for key, c in acc.items() if c}
+def _carry(k0: int, cols: int, entries) -> dict[tuple[int, ...], int]:
+    # Integer coordinates (keys as sort_key) of the sum of w times the unit
+    # at row-major position idx of a cols-wide grid of k0 x k0 cells, over
+    # the (idx, w). With F the plus chain (0 once an index is 0), a unit is
+    # F(j1, j2) - F(j1-1, j2-1), and F(j1, j2) = E(k0/s; j1/s, j2/s) +
+    # F(j1-s, j2-s), s = gcd(k0, j1, j2): a coprime unit is its own term.
+    # Any other puts +w, -w at its lower index and the one below on its
+    # diagonal j2 - j1, which no step leaves; walked down from the top, a
+    # cell's weight adds to its coprime unit and carries s cells down.
+    out, diagonals = {}, {}
+    for idx, w in entries:
+        (k, a), (l, b) = divmod(idx // cols, k0), divmod(idx % cols, k0)
+        if gcd(k0, a + 1, b + 1) == 1:
+            out[(k0, a + 1, b + 1, k + 1, l + 1)] = w
+        else:
+            wts = diagonals.setdefault((k, l, b - a), {})
+            lo = min(a, b)  # 0-based: the 1-based lower index is lo + 1
+            wts[lo + 1], wts[lo] = wts.get(lo + 1, 0) + w, wts.get(lo, 0) - w
+    for (k, l, delta), wts in diagonals.items():
+        g, up, right = gcd(k0, delta), max(-delta, 0), max(delta, 0)
+        for lo in range(max(wts), 0, -1):
+            if w := wts.pop(lo, 0):
+                s = gcd(g, lo)
+                key = (k0 // s, (lo + up) // s, (lo + right) // s, k + 1, l + 1)
+                out[key], wts[lo - s] = out.get(key, 0) + w, wts.get(lo - s, 0) + w
+    return {key: w for key, w in out.items() if w} if diagonals else out
 
 
-def _coordinates(x: MatrixClass, expansions: dict) -> dict[tuple[int, ...], Fraction]:
-    # Coordinates of an exact class keyed by sort_key tuples (i, j1, j2, k, l).
-    # Every cell (j1, j2) of a k0 x k0 grid has one unit expansion, kept in
-    # the caller's dict under (k0, j1, j2) and telescoped once per call.
-    k0, rep = x.k0, x.rep
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for idx, a in enumerate(rep.data):
-        if not a:
-            continue
-        big_i, big_j = divmod(idx, rep.cols)
-        k, j1 = divmod(big_i, k0)
-        l, j2 = divmod(big_j, k0)
-        part = expansions.get((k0, j1, j2))
-        if part is None:
-            part = list(_telescope(k0, j1 + 1, j2 + 1).items())
-            expansions[(k0, j1, j2)] = part
-        for (i, b1, b2), c in part:
-            key = (i, b1, b2, k + 1, l + 1)
-            v = a if c == 1 else a * c
-            cur = acc.get(key)
-            acc[key] = v if cur is None else cur + v
-    return {key: c for key, c in acc.items() if c}
+def _coordinates(x: MatrixClass) -> dict[tuple[int, ...], Fraction]:
+    # Coordinates keyed by sort_key: the nonzero entries as ints over d, the
+    # lcm of their denominators, carried; one Fraction per distinct value.
+    nonzero = [(idx, v) for idx, v in enumerate(x.rep.data) if v]
+    d = lcm(*[v.denominator for _, v in nonzero])
+    values, ints = {}, []
+    for idx, v in nonzero:
+        w = v.numerator * (d // v.denominator)
+        values[w] = v
+        ints.append((idx, w))
+    coords = _carry(x.k0, x.rep.cols, ints)
+    for key, w in coords.items():
+        coords[key] = values[w] if w in values else values.setdefault(w, Fraction(w, d))
+    return coords
 
 
 def decompose_class(x: MatrixClass) -> Coordinates:
-    """Coordinates of a class: expand each nonzero entry of the representative.
-
-    The representative of shape k0*p x k0*q is read as a p x q grid of
-    k0 x k0 cells; the entry at 1-based (I, J) is the unit
-    E(p x q; k, l) x E(k0 x k0; j1, j2) with I = (k-1)k0 + j1 and
-    J = (l-1)k0 + j2, which then telescopes through decompose_unit.
-    """
+    """Coordinates of a class: the representative of shape k0*p x k0*q is
+    read as a p x q grid of k0 x k0 cells, its entry at 1-based (I, J) the
+    unit E(p x q; k, l) x E(k0 x k0; j1, j2) with I = (k-1)k0 + j1 and
+    J = (l-1)k0 + j2, and all these units telescope at once (``_carry``)."""
     if x.scalar != RATIONAL:
         raise ValueError("coordinates are exact-rational; rationalize the class first")
     return Coordinates(x.mu, {
-        BasisElement(x.mu, k, l, i, j1, j2): c for (i, j1, j2, k, l), c in _coordinates(x, {}).items()
+        BasisElement(x.mu, k, l, i, j1, j2): c for (i, j1, j2, k, l), c in _coordinates(x).items()
     })
 
 
@@ -251,33 +250,31 @@ def _eliminate(pivots: dict, v: dict[tuple[int, ...], Fraction]) -> bool:
     return False
 
 
-def _require_exact_same_mu(classes: list[MatrixClass]) -> None:
+def _coordinate_rows(classes):
+    # Each class's coordinates, once all are exact and of one ratio.
+    classes = list(classes)
     for x in classes:
         if x.scalar != RATIONAL:
             raise ValueError("span checks need exact-rational classes")
         if x.mu != classes[0].mu:
             raise ValueError(f"mixed ratios: {x.mu} vs {classes[0].mu}")
+    return map(_coordinates, classes)
 
 
 def in_span(target: MatrixClass, classes: list[MatrixClass]) -> bool:
-    """Whether target is a rational combination of the given classes.
-
-    Every class is mapped to its basis coordinates; target is in the span
-    exactly when its coordinates reduce to zero against the echelon rows
-    of the others.
-    """
-    _require_exact_same_mu([target] + list(classes))
-    pivots, expansions = {}, {}
-    for x in classes:
-        _eliminate(pivots, _coordinates(x, expansions))
-    return not _eliminate(pivots, _coordinates(target, expansions))
+    """Whether target is a rational combination of the given classes: its
+    basis coordinates reduce to zero against the echelon rows of theirs."""
+    rows = _coordinate_rows([target, *classes])
+    goal, pivots = next(rows), {}
+    for v in rows:
+        _eliminate(pivots, v)
+    return not _eliminate(pivots, goal)
 
 
 def independent(classes: list[MatrixClass]) -> bool:
     """Whether the classes are linearly independent (exact rank check in coordinates)."""
-    _require_exact_same_mu(list(classes))
-    pivots, expansions = {}, {}
-    return all(_eliminate(pivots, _coordinates(x, expansions)) for x in classes)
+    pivots = {}
+    return all(_eliminate(pivots, v) for v in _coordinate_rows(classes))
 
 
 def enumerate_basis(mu: Fraction, i_max: int) -> list[BasisElement]:

@@ -2,8 +2,9 @@
 lifted-product definitions, plain Matrix arithmetic (``matmul``, ``add``,
 ``sub``, ``frobenius_inner``) that the library itself does not
 need, Matrix-level references that build the identity lifts in full, an
-entry-by-entry peel check, span and rank checks by lcm lifts, and seeded
-random matrix generators.
+entry-by-entry peel check, span and rank checks by lcm lifts, basis
+coordinates by one gcd-chain telescope per entry, and seeded random
+matrix generators.
 
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
@@ -16,7 +17,7 @@ in both scalar kinds.
 """
 
 from fractions import Fraction
-from math import fsum, lcm
+from math import fsum, gcd, lcm
 
 from semitensor import FLOAT64, Matrix, RATIONAL, from_rows
 from semitensor.matrix import _require_same_kind, _zero, scalar_eq
@@ -245,6 +246,50 @@ def ref_independent(classes):
     cols = [_lift_vector(x, R) for x in classes]
     rows = [[col[r] for col in cols] for r in range(len(cols[0]))]
     return _row_echelon(rows) == len(classes)
+
+
+# --- coordinates by one telescope per entry --------------------------------
+
+def _ref_chain(i, lo, hi):
+    """The greedy gcd chain from the pair (lo, hi) down to lo = 0, as the
+    coprime units (size, lo', hi') it emits: each step s = gcd(i, lo, hi)
+    emits (i/s, lo/s, hi/s) and removes s from both indices."""
+    out = []
+    while lo > 0:
+        s = gcd(i, lo, hi)
+        out.append((i // s, lo // s, hi // s))
+        lo, hi = lo - s, hi - s
+    return out
+
+
+def ref_unit_expansion(i, j1, j2):
+    """Nonzero integer coefficients of the unit E(i x i; j1, j2) over the
+    coprime units, keyed by (size, j1, j2): the plus chain from (j1, j2)
+    minus the chain from (j1 - 1, j2 - 1)."""
+    acc = {}
+    lo, hi = min(j1, j2), max(j1, j2)
+    for start, sign in (((lo, hi), 1), ((lo - 1, hi - 1), -1)):
+        for size, a, b in _ref_chain(i, *start):
+            key = (size, b, a) if j1 > j2 else (size, a, b)
+            acc[key] = acc.get(key, 0) + sign
+    return {key: c for key, c in acc.items() if c}
+
+
+def ref_coordinates(x):
+    """Coordinates of an exact class keyed by sort_key tuples
+    (i, j1, j2, k, l): every nonzero entry of the representative is
+    expanded by ``ref_unit_expansion`` and the expansions are summed in
+    Fractions."""
+    k0, rep = x.k0, x.rep
+    acc = {}
+    for idx, a in enumerate(rep.data):
+        if a:
+            k, j1 = divmod(idx // rep.cols, k0)
+            l, j2 = divmod(idx % rep.cols, k0)
+            for (i, b1, b2), c in ref_unit_expansion(k0, j1 + 1, j2 + 1).items():
+                key = (i, b1, b2, k + 1, l + 1)
+                acc[key] = acc.get(key, 0) + a * c
+    return {key: c for key, c in acc.items() if c}
 
 
 # --- random generators ---------------------------------------------------

@@ -9,7 +9,15 @@ import pytest
 
 import semitensor.basis
 import semitensor.stp
-from helpers import add, as_matrix, rand_matrix, ref_in_span, ref_independent
+from helpers import (
+    add,
+    as_matrix,
+    rand_matrix,
+    ref_coordinates,
+    ref_in_span,
+    ref_independent,
+    ref_unit_expansion,
+)
 
 from semitensor import (
     BasisElement,
@@ -397,3 +405,81 @@ def test_coordinates_validation():
         Coordinates(Fraction(1), {e: Fraction(0)})
     with pytest.raises(ValueError):
         Coordinates(Fraction(1, 2), {e: Fraction(1)})
+
+
+def test_coordinates_coerce_coefficients():
+    # an int coefficient becomes a Fraction, so the class builds; a float
+    # or a bool is refused at construction with as_scalar's message
+    e = BasisElement(Fraction(1), 1, 1, 2, 1, 1)
+    c = Coordinates(Fraction(1), {e: 3})
+    assert c.terms == {e: Fraction(3)} and type(c.terms[e]) is Fraction
+    assert reconstruct(c) == canonicalize(as_matrix([[3, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="implicit float"):
+        Coordinates(Fraction(1), {e: 0.5})
+    with pytest.raises(ValueError, match="refusing bool"):
+        Coordinates(Fraction(1), {e: True})
+    with pytest.raises(ValueError, match="zero coefficients"):
+        Coordinates(Fraction(1), {e: 0})
+
+
+def test_span_checks_accept_generators():
+    # the classes are read once, so a generator is not used up by the
+    # ratio check before the elimination sees it
+    x = canonicalize(as_matrix([[1, 2], [3, 4]]))
+    assert not independent(c for c in [x, x])
+    assert independent(c for c in [x])
+    assert in_span(x, (c for c in [x]))
+    assert not in_span(unit_class(BasisElement(Fraction(1), 1, 1, 2, 1, 2)), (c for c in [x]))
+
+
+def test_decompose_unit_matches_the_per_entry_route():
+    for i in range(1, 13):
+        for j1 in range(1, i + 1):
+            for j2 in range(1, i + 1):
+                for mu, k, l in ((Fraction(1), 1, 1), (Fraction(2, 3), 2, 3)):
+                    got = decompose_unit(mu, k, l, i, j1, j2).terms
+                    want = ref_unit_expansion(i, j1, j2)
+                    assert {(e.i, e.j1, e.j2): c for e, c in got.items()} == want, (i, j1, j2)
+                    assert all((e.k, e.l) == (k, l) for e in got)
+
+
+# small, 97 and primes near 10^4, so the common denominator can be large
+_DENOMINATORS = (1, 2, 3, 97, 9973, 10007, 10009)
+
+
+@pytest.mark.parametrize("mu", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)])
+def test_coordinates_match_the_per_entry_route(mu):
+    # the carried integer weights give the coordinates of one telescope
+    # per entry summed in Fractions: dense classes (prime and composite
+    # k0, some entries zero) and sums of units lifted to L = 60 and 120
+    rng = random.Random(113)
+    p, q = mu.numerator, mu.denominator
+
+    def value():
+        return Fraction(rng.randint(-9, 9), rng.choice(_DENOMINATORS))
+
+    def keyed(coords):
+        return {e.sort_key(): c for e, c in coords.terms.items()}
+
+    for k0 in (7, 11, 12, 30):
+        zeros = rng.choice((0.0, 0.3, 0.6))
+        rows = [[value() if rng.random() >= zeros else Fraction(0) for _ in range(k0 * q)]
+                for _ in range(k0 * p)]
+        x = canonicalize(as_matrix(rows))
+        assert x.k0 == k0
+        assert keyed(decompose_class(x)) == ref_coordinates(x), k0
+
+    def unit(i):
+        while True:
+            j1, j2 = rng.randint(1, i), rng.randint(1, i)
+            if gcd(i, j1, j2) == 1:
+                return BasisElement(mu, rng.randint(1, p), rng.randint(1, q), i, j1, j2)
+
+    # the first three sizes have lcm L, so every sum sits at level L
+    for L, sizes in ((60, (3, 4, 5, 6, 10, 12, 15, 60)), (120, (3, 5, 8, 12, 24, 40, 120))):
+        for _ in range(2):
+            picks = {unit(i) for i in sizes[:3] + tuple(rng.sample(sizes, 3))}
+            coords = Coordinates(mu, {e: value() or Fraction(1) for e in picks})
+            x = reconstruct(coords)
+            assert x.k0 == L
+            assert keyed(decompose_class(x)) == ref_coordinates(x) == keyed(coords)
