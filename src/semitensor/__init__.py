@@ -7,13 +7,11 @@ from .matrix import (
     RATIONAL,
     Matrix,
     allocated_elems,
-    e_matrix,
     eq_within,
     from_rows,
     identity,
     kron,
     scale,
-    to_float,
     to_rational,
     zeros,
 )
@@ -25,7 +23,6 @@ from .quotient import (
     class_mul,
     class_sub,
     equivalent,
-    is_reducible,
     lie_bracket,
     scalar_mul,
     try_unkron,
@@ -34,11 +31,9 @@ from .quotient import (
 from .basis import (
     BasisElement,
     Coordinates,
-    GcdChain,
     decompose_class,
     decompose_unit,
     enumerate_basis,
-    gcd_chain,
     in_span,
     independent,
     reconstruct,
@@ -48,7 +43,6 @@ from .metric import (
     CauchyConfig,
     GapReport,
     cauchy_sequence,
-    delta_n,
     dist,
     fill_value,
     gap_reports,

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrix import RATIONAL, Matrix, as_scalar
+from .matrix import RATIONAL, Matrix, _check_budget, as_scalar
 from .quotient import MatrixClass, zero_class
-from .stp import _check_budget, _row_slices
+from .stp import _row_slices
 
 # Largest listing enumerate_basis builds, as its bound p*q*sum(i^2) on the
 # element count; checked before anything is built (ValueError above it).
@@ -68,14 +68,6 @@ class BasisElement:
         return (self.i, self.j1, self.j2, self.k, self.l)
 
 
-@dataclass(frozen=True)
-class GcdChain:
-    """Greedy gcd chains: f partial-sums to the target index, g to target-1."""
-
-    f: tuple[int, ...]
-    g: tuple[int, ...]
-
-
 @dataclass
 class Coordinates:
     """Finite-support expansion of a class over basis elements.
@@ -101,34 +93,6 @@ def unit_class(e: BasisElement) -> MatrixClass:
     """The class named by a basis element: the one-term ``reconstruct``,
     so its size is checked against the budget before it is built."""
     return reconstruct(Coordinates(e.mu, {e: Fraction(1)}))
-
-
-def _chain(i: int, targets: tuple[int, ...]) -> list[int]:
-    # Greedy walk: each step removes gcd(i, remainders) from every
-    # remainder; stops when the first target hits zero. Terminates since
-    # each step divides (hence is <=) the first remainder.
-    rest = list(targets)
-    steps = []
-    while rest[0] > 0:
-        s = gcd(i, *rest)
-        steps.append(s)
-        rest = [r - s for r in rest]
-    return steps
-
-
-def gcd_chain(i: int, j1: int, j2: int | None = None) -> GcdChain:
-    """Both greedy chains for a unit index: f targets j1, g targets j1 - 1.
-
-    For the off-diagonal form pass j2 with j1 < j2 <= i; the gcd at each
-    step then takes both shifted indices into account.
-    """
-    if not (1 <= j1 <= i):
-        raise ValueError(f"need 1 <= j1 <= i, got j1={j1}, i={i}")
-    if j2 is not None and not (j1 < j2 <= i):
-        raise ValueError(f"need j1 < j2 <= i, got j1={j1}, j2={j2}, i={i}")
-    # gcd(i, j, j) = gcd(i, j), so the diagonal chain is the pair (j1, j1)
-    hi = j1 if j2 is None else j2
-    return GcdChain(tuple(_chain(i, (j1, hi))), tuple(_chain(i, (j1 - 1, hi - 1))))
 
 
 def decompose_unit(mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> Coordinates:

@@ -4,6 +4,9 @@ Entries live in a flat row-major tuple. Exact mode keeps every entry a
 ``Fraction`` (lowest terms for free); float mode stores binary64 and all
 tolerant comparisons go through a relative tolerance with an absolute
 floor. Every value is immutable, every operation is a pure function.
+Every constructor that sizes its result from its arguments (``zeros``,
+``identity``, ``kron``) checks it against one size budget,
+``_MAX_ENTRIES``, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -24,11 +27,24 @@ Scalar = Union[Fraction, float]
 # The entry type of each scalar kind.
 _KIND_TYPES = {RATIONAL: Fraction, FLOAT64: float}
 
+# Largest matrix, in entries, that an operation or constructor allocates.
+# Checked before any allocation; a bigger result raises ValueError (a
+# domain error).
+_MAX_ENTRIES = 10**7
+
 # Running count of matrix entries ever constructed. Purely test
 # instrumentation: lets the tests show that the lift-free semi-tensor
 # operations allocate only their output while the Kronecker-built
 # references materialize the lifts.
 _alloc_elems = 0
+
+
+def _check_budget(rows: int, cols: int) -> None:
+    if rows * cols > _MAX_ENTRIES:
+        raise ValueError(
+            f"result would be {rows}x{cols} = {rows * cols} entries, "
+            f"over the budget of {_MAX_ENTRIES}"
+        )
 
 
 def allocated_elems() -> int:
@@ -124,27 +140,16 @@ def _zero(kind: str) -> Scalar:
     return Fraction(0) if kind == RATIONAL else 0.0
 
 
-def _one(kind: str) -> Scalar:
-    return Fraction(1) if kind == RATIONAL else 1.0
-
-
 def zeros(m: int, n: int, scalar: str = RATIONAL) -> Matrix:
+    _check_budget(m, n)
     return Matrix(m, n, (_zero(scalar),) * (m * n), scalar)
 
 
 def identity(n: int, scalar: str = RATIONAL) -> Matrix:
-    z, o = _zero(scalar), _one(scalar)
+    _check_budget(n, n)
+    z, o = _zero(scalar), Fraction(1) if scalar == RATIONAL else 1.0
     data = tuple(o if i == j else z for i in range(n) for j in range(n))
     return Matrix(n, n, data, scalar)
-
-
-def e_matrix(m: int, n: int, i: int, j: int, scalar: str = RATIONAL) -> Matrix:
-    """Single-entry matrix: 1 at 0-based (i, j), 0 elsewhere."""
-    if not (0 <= i < m and 0 <= j < n):
-        raise ValueError(f"entry ({i},{j}) outside {m}x{n}")
-    z, o = _zero(scalar), _one(scalar)
-    data = tuple(o if (r == i and c == j) else z for r in range(m) for c in range(n))
-    return Matrix(m, n, data, scalar)
 
 
 def _require_same_kind(A: Matrix, B: Matrix) -> None:
@@ -156,6 +161,7 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     """Kronecker product: block (i, j) equals a_ij * B."""
     _require_same_kind(A, B)
     m, n, p, q = A.rows, A.cols, B.rows, B.cols
+    _check_budget(m * p, n * q)
     out = [None] * (m * p * n * q)
     ocols = n * q
     for i in range(m):
@@ -187,9 +193,3 @@ def to_rational(A: Matrix, max_denominator: int = 10**12) -> Matrix:
         return A
     data = tuple(Fraction(v).limit_denominator(max_denominator) for v in A.data)
     return Matrix(A.rows, A.cols, data, RATIONAL)
-
-
-def to_float(A: Matrix) -> Matrix:
-    if A.scalar == FLOAT64:
-        return A
-    return Matrix(A.rows, A.cols, tuple(float(v) for v in A.data), FLOAT64)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .matrix import FLOAT64, Matrix, _require_same_kind
+from .matrix import FLOAT64, Matrix, _check_budget, _require_same_kind
 from .quotient import MatrixClass, _require_same_mu, canonicalize, class_sub
-from .stp import _check_budget, _integers, _row_slices
+from .stp import _integers, _row_slices
 
 # Largest experiment index: the next fill exp(-2^9) is still a normal
 # binary64, exp(-2^10) underflows to zero.
@@ -86,17 +86,6 @@ def fill_value(n: int) -> float:
     return math.exp(-(2.0 ** (n - 1)))
 
 
-def delta_n(A: Matrix, n: int) -> Matrix:
-    """Replace exact-zero entries by the step-n fill; keep the rest."""
-    if A.scalar != FLOAT64:
-        raise ValueError("fill values are irrational; input must be float64")
-    if not (1 <= n <= N_MAX_LIMIT):
-        raise ValueError(f"n must be in 1..{N_MAX_LIMIT} to avoid underflow, got {n}")
-    fill = fill_value(n)
-    data = tuple(v if v != 0.0 else fill for v in A.data)
-    return Matrix(A.rows, A.cols, data, FLOAT64)
-
-
 def _lift_and_fill(A: Matrix, fill: float) -> Matrix:
     # Every lifted row starts as fill and takes row i of A on its stride;
     # the entries A x I_2 has off the stride are exactly the zeros filled.
@@ -132,8 +121,9 @@ def cauchy_sequence(cfg: CauchyConfig) -> list[MatrixClass]:
     """Classes of A_1, ..., A_{n_max} with A_n = fill_n(A_{n-1} x I_2).
 
     Each step builds A_{n-1} x I_2 row by row and fills it in the same
-    pass; since A_{n-1} is finite with no zero entry, this equals
-    ``delta_n(kron(A_{n-1}, identity(2)), n)`` bit for bit.
+    pass; since A_{n-1} is finite with no zero entry, this equals the
+    definition, kron(A_{n-1}, identity(2)) with every exact zero replaced
+    by fill_value(n), bit for bit.
 
     Every A_n has all entries nonzero, hence is irreducible; classes are
     built with exact float comparisons (rtol=0) because the fills drop

@@ -71,12 +71,6 @@ def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
     return Matrix(A.rows // s, A.cols // s, tuple(vals), kind)
 
 
-def is_reducible(A: Matrix, rtol: float | None = None) -> tuple[bool, int | None]:
-    """Whether A = B x I_s for some s >= 2; witness is the largest such s."""
-    s = A.rows // canonicalize(A, rtol).rep.rows
-    return (True, s) if s > 1 else (False, None)
-
-
 @dataclass(frozen=True)
 class MatrixClass:
     """An equivalence class, stored by its irreducible representative.

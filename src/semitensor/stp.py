@@ -30,8 +30,9 @@ they are. Neither mode multiplies a stored zero of either lift, so an
 inf or NaN entry facing a zero adds nothing where the ordinary product
 of the lifts makes NaN.
 
-Every result is checked against a size budget, ``_MAX_ENTRIES``, before
-anything is allocated; a larger result raises ``ValueError``.
+Every result is checked against the matrix module's size budget,
+``_MAX_ENTRIES``, before anything is allocated; a larger result raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -41,24 +42,12 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .matrix import RATIONAL, Matrix, _require_same_kind, _zero
-
-# Largest result, in entries, that an operation allocates. Checked before
-# any allocation; a bigger result raises ValueError (a domain error).
-_MAX_ENTRIES = 10**7
+from .matrix import RATIONAL, Matrix, _check_budget, _require_same_kind, _zero
 
 
 def ratio_of(A: Matrix) -> Fraction:
     """Row/column ratio of A as a reduced rational."""
     return Fraction(A.rows, A.cols)
-
-
-def _check_budget(rows: int, cols: int) -> None:
-    if rows * cols > _MAX_ENTRIES:
-        raise ValueError(
-            f"result would be {rows}x{cols} = {rows * cols} entries, "
-            f"over the budget of {_MAX_ENTRIES}"
-        )
 
 
 def _row_slices(i: int, m: int, n: int, s: int, right: bool = False) -> list[slice]:

@@ -1,10 +1,11 @@
 """Shared test utilities: an independent list-based oracle for the
 lifted-product definitions, plain Matrix arithmetic (``matmul``, ``add``,
-``sub``, ``frobenius_inner``) that the library itself does not
-need, Matrix-level references that build the identity lifts in full, an
-entry-by-entry peel check, span and rank checks by lcm lifts, basis
-coordinates by one gcd-chain telescope per entry, and seeded random
-matrix generators.
+``sub``, ``frobenius_inner``) and the single-entry matrix ``e_matrix``
+that the library itself does not need, Matrix-level references that
+build the identity lifts in full, an entry-by-entry peel check, span and
+rank checks by lcm lifts, basis coordinates by one gcd-chain telescope
+per entry, the Cauchy experiment's fill by its definition
+(``ref_delta_n``), and seeded random matrix generators.
 
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
@@ -19,7 +20,7 @@ in both scalar kinds.
 from fractions import Fraction
 from math import fsum, gcd, lcm
 
-from semitensor import FLOAT64, Matrix, RATIONAL, from_rows
+from semitensor import FLOAT64, Matrix, RATIONAL, fill_value, from_rows
 from semitensor.matrix import _require_same_kind, _zero, scalar_eq
 
 
@@ -109,6 +110,13 @@ def sub(A: Matrix, B: Matrix) -> Matrix:
     return Matrix(A.rows, A.cols, tuple(a - b for a, b in zip(A.data, B.data)), A.scalar)
 
 
+def e_matrix(m: int, n: int, i: int, j: int) -> Matrix:
+    """Exact single-entry matrix: 1 at 0-based (i, j), 0 elsewhere."""
+    data = [Fraction(0)] * (m * n)
+    data[i * n + j] = Fraction(1)
+    return Matrix(m, n, tuple(data), RATIONAL)
+
+
 def frobenius_inner(A: Matrix, B: Matrix):
     """Sum of entrywise products of two same-shape matrices."""
     _require_same_kind(A, B)
@@ -171,6 +179,13 @@ def ref_inner(A: Matrix, B: Matrix):
     """Pairing of two same-ratio matrices: Frobenius product of the lifts."""
     t = lcm(A.rows, B.rows)
     return frobenius_inner(lift(A, t // A.rows), lift(B, t // B.rows))
+
+
+def ref_delta_n(A: Matrix, n: int) -> Matrix:
+    """Step n's fill of a float64 A: every exact zero (0.0 or -0.0)
+    replaced by fill_value(n), every other entry kept."""
+    fill = fill_value(n)
+    return Matrix(A.rows, A.cols, tuple(v if v != 0.0 else fill for v in A.data), FLOAT64)
 
 
 # --- peel check, entry by entry ------------------------------------------

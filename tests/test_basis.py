@@ -1,4 +1,4 @@
-"""Basis elements, gcd chains, decomposition and span checks."""
+"""Basis elements, unit expansions, decomposition and span checks."""
 
 import random
 import tracemalloc
@@ -8,10 +8,12 @@ from math import gcd, lcm
 import pytest
 
 import semitensor.basis
-import semitensor.stp
+import semitensor.matrix
 from helpers import (
+    _ref_chain,
     add,
     as_matrix,
+    e_matrix,
     rand_matrix,
     ref_coordinates,
     ref_in_span,
@@ -22,15 +24,12 @@ from helpers import (
 from semitensor import (
     BasisElement,
     Coordinates,
-    GcdChain,
     allocated_elems,
     canonicalize,
     class_add,
     decompose_class,
     decompose_unit,
-    e_matrix,
     enumerate_basis,
-    gcd_chain,
     identity,
     in_span,
     independent,
@@ -73,28 +72,26 @@ def test_unit_class_rep_is_the_kron_unit():
         assert unit_class(e).rep == direct
 
 
-def test_gcd_chain_examples():
-    assert gcd_chain(2, 2) == GcdChain((2,), (1,))
-    assert gcd_chain(6, 4).f == (2, 2)
-    assert gcd_chain(6, 4).g == (3,)
-    assert gcd_chain(4, 2, 4).f == (2,)
-    assert gcd_chain(4, 2, 4).g == (1,)
-    assert gcd_chain(3, 1).g == ()  # j = 1 has an empty minus chain
-
-
 def test_gcd_chain_partial_sums():
+    # every greedy step s divides i, and the steps sum to the target index
     for i in range(1, 9):
         for j in range(1, i + 1):
-            ch = gcd_chain(i, j)
-            assert sum(ch.f) == j and sum(ch.g) == j - 1
-            assert all(i % f == 0 for f in ch.f)
+            for target in (j, j - 1):
+                steps = [i // size for size, _, _ in _ref_chain(i, target, target)]
+                assert sum(steps) == target
+                assert all(i % s == 0 for s in steps)
 
 
-def test_gcd_chain_validation():
-    with pytest.raises(ValueError):
-        gcd_chain(3, 4)
-    with pytest.raises(ValueError):
-        gcd_chain(4, 3, 2)  # needs j1 < j2
+def test_decompose_unit_validation():
+    for k, l, i, j1, j2 in [
+        (1, 1, 3, 4, 1),  # j1 > i
+        (1, 1, 3, 1, 4),  # j2 > i
+        (1, 1, 3, 0, 1),  # indices are 1-based
+        (1, 2, 2, 1, 1),  # l > q
+        (2, 1, 2, 1, 1),  # k > p
+    ]:
+        with pytest.raises(ValueError, match="out of range"):
+            decompose_unit(Fraction(1), k, l, i, j1, j2)
 
 
 def test_decompose_unit_examples():
@@ -109,6 +106,14 @@ def test_decompose_unit_examples():
     assert c.terms == {
         BasisElement(Fraction(1), 1, 1, 2, 1, 2): Fraction(1),
         BasisElement(Fraction(1), 1, 1, 4, 1, 3): Fraction(-1),
+    }
+    # the 6 x 6 unit at (4, 4): gcd(6, 4) = 2, so its plus chain steps 4 -> 2
+    # -> 0, and gcd(6, 3) = 3 takes the minus chain 3 -> 0 in one step
+    c = decompose_unit(Fraction(1), 1, 1, 6, 4, 4)
+    assert c.terms == {
+        BasisElement(Fraction(1), 1, 1, 3, 2, 2): Fraction(1),
+        BasisElement(Fraction(1), 1, 1, 3, 1, 1): Fraction(1),
+        BasisElement(Fraction(1), 1, 1, 2, 1, 1): Fraction(-1),
     }
 
 
@@ -207,12 +212,12 @@ def test_reconstruct_checks_size_before_allocating():
 def test_unit_class_checks_size_before_allocating(monkeypatch):
     # the unit of mu = 2/3 at i = 4 is 8 x 12, one entry over this budget
     e = BasisElement(Fraction(2, 3), 2, 3, 4, 1, 2)
-    monkeypatch.setattr(semitensor.stp, "_MAX_ENTRIES", 2 * 3 * 4 * 4 - 1)
+    monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", 2 * 3 * 4 * 4 - 1)
     before = allocated_elems()
     with pytest.raises(ValueError, match="budget"):
         unit_class(e)
     assert allocated_elems() == before
-    monkeypatch.setattr(semitensor.stp, "_MAX_ENTRIES", 2 * 3 * 4 * 4)
+    monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", 2 * 3 * 4 * 4)
     assert unit_class(e).rep == e_matrix(8, 12, 4, 9)
 
 

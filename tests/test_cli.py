@@ -239,6 +239,18 @@ def test_oversized_result_is_domain_error(capsys):
     assert "budget" in json.loads(err)["message"]
 
 
+def test_oversized_zero_class_is_domain_error(capsys, tmp_path):
+    # no terms at mu = 10^12: the zero class 0 (10^12 x 1), over the size budget
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps({"mu": "1000000000000", "terms": []}))
+    code, out, err = run(capsys, "reconstruct", str(path))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "domain" and "budget" in error["message"]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "stp", "not-a-file.json", "[1]")
     assert code == 2

@@ -23,7 +23,7 @@ from helpers import (
     ref_rtimes,
 )
 
-import semitensor.stp
+import semitensor.matrix
 from semitensor import (
     FLOAT64,
     Matrix,
@@ -277,11 +277,11 @@ def test_size_budget_rejects_oversized_product_before_allocating():
 def test_size_budget_covers_sums(monkeypatch):
     rng = random.Random(139)
     A, B = rand_matrix(rng, 4, 4), rand_matrix(rng, 9, 9)
-    monkeypatch.setattr(semitensor.stp, "_MAX_ENTRIES", 36 * 36 - 1)
+    monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", 36 * 36 - 1)
     for op in (lplus, rplus, lminus, rminus):
         with pytest.raises(ValueError, match="budget"):
             op(A, B)
-    monkeypatch.setattr(semitensor.stp, "_MAX_ENTRIES", 36 * 36)
+    monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", 36 * 36)
     assert lplus(A, B) == ref_lplus(A, B)
 
 

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given
 
 from conftest import matrices
+import semitensor.matrix
 from helpers import add, as_matrix, frobenius_inner, matmul, o_kron, sub
 
 from semitensor import (
     FLOAT64,
     RATIONAL,
     Matrix,
-    e_matrix,
+    allocated_elems,
     eq_within,
     from_rows,
     identity,
     kron,
     scale,
-    to_float,
     to_rational,
     zeros,
 )
@@ -145,10 +145,20 @@ def test_every_entry_is_type_checked(scalar, data, message):
         Matrix(1, 3, data, scalar)
 
 
-def test_e_matrix():
-    assert e_matrix(2, 2, 0, 1).to_lists() == as_matrix([[0, 1], [0, 0]]).to_lists()
-    with pytest.raises(ValueError):
-        e_matrix(2, 2, 2, 0)
+@pytest.mark.parametrize("make, args, shape", [
+    (zeros, (3, 4), (3, 4)),
+    (identity, (5, FLOAT64), (5, 5)),
+    (kron, (as_matrix([[1, 2]]), identity(3)), (3, 6)),
+], ids=["zeros", "identity", "kron"])
+def test_constructors_check_size_before_allocating(monkeypatch, make, args, shape):
+    rows, cols = shape
+    monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", rows * cols - 1)
+    before = allocated_elems()
+    with pytest.raises(ValueError, match="budget"):
+        make(*args)
+    assert allocated_elems() == before
+    monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", rows * cols)
+    assert make(*args).shape == shape
 
 
 def test_kron_mixed_product_randomized():
@@ -177,7 +187,7 @@ def test_kron_against_oracle():
 
 def test_rational_float_conversion():
     A = as_matrix([[1, 2], [3, 4]])
-    F = to_float(A)
+    F = from_rows([[1, 2], [3, 4]], FLOAT64)
     assert F.scalar == FLOAT64 and F.entry(1, 1) == 4.0
     back = to_rational(F)
     assert back == A

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import as_matrix, rand_matrix
+from helpers import as_matrix, rand_matrix, ref_delta_n
 
 from semitensor import (
     CauchyConfig,
@@ -14,14 +14,12 @@ from semitensor import (
     canonicalize,
     cauchy_sequence,
     class_add,
-    delta_n,
     dist,
     fill_value,
     from_rows,
     gap_reports,
     identity,
     inner,
-    is_reducible,
     kron,
     nonconvergence_probe,
     norm,
@@ -96,20 +94,6 @@ def test_metric_symmetry_and_separation():
         assert inner(x, x) == sum(v * v for v in x.rep.data)
 
 
-def test_delta_n():
-    A = from_rows([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 2.0]], FLOAT64)
-    out = delta_n(A, 2)
-    fill = fill_value(2)
-    assert out.to_lists() == [[1.0, fill, 2.0, fill], [fill, 1.0, fill, 2.0]]
-    # all-nonzero input is untouched at any step
-    B = from_rows([[1.0, 2.0]], FLOAT64)
-    assert delta_n(B, 5) == B
-    with pytest.raises(ValueError):
-        delta_n(as_matrix([[1, 0]]), 2)
-    with pytest.raises(ValueError):
-        delta_n(B, 10)
-
-
 def test_fill_value_closed_form():
     # 1 / 2^(2^(n-1)/ln 2) is exactly exp(-2^(n-1))
     for n in range(1, 9):
@@ -141,10 +125,10 @@ def test_sequence_generation_rules():
     seq = _worked_sequence(6)
     for n, cls in enumerate(seq, start=1):
         assert cls.rep.shape == (2 ** (n - 1), 2**n)
-        assert is_reducible(cls.rep, rtol=0.0) == (False, None)
+        assert canonicalize(cls.rep, rtol=0.0).rep == cls.rep
         assert cls.mu == Fraction(1, 2)
     # second step is the fill of the lifted first step
-    assert seq[1].rep == delta_n(kron(seq[0].rep, identity(2, FLOAT64)), 2)
+    assert seq[1].rep == ref_delta_n(kron(seq[0].rep, identity(2, FLOAT64)), 2)
 
 
 @pytest.mark.parametrize("seed", [
@@ -159,7 +143,7 @@ def test_every_step_is_the_fill_of_the_lifted_step(seed):
     seq = cauchy_sequence(CauchyConfig(from_rows(seed, FLOAT64), 8))
     for n in range(2, 9):
         lifted = kron(seq[n - 2].rep, identity(2, FLOAT64))
-        assert repr(seq[n - 1].rep) == repr(delta_n(lifted, n)), n
+        assert repr(seq[n - 1].rep) == repr(ref_delta_n(lifted, n)), n
 
 
 def test_cauchy_config_validation():

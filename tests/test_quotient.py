@@ -21,7 +21,6 @@ from semitensor import (
     equivalent,
     from_rows,
     identity,
-    is_reducible,
     kron,
     lie_bracket,
     lplus,
@@ -34,16 +33,19 @@ from semitensor import (
 from semitensor.matrix import FLOAT64
 
 
-def test_is_reducible_examples():
-    assert is_reducible(identity(2)) == (True, 2)
-    assert is_reducible(as_matrix([[1, 0], [0, 2]])) == (False, None)
-    assert is_reducible(kron(as_matrix([[1, 2]]), identity(3))) == (True, 3)
+def _level(A):
+    # the largest s with A = B x I_s: canonicalize peels every factor
+    return A.rows // canonicalize(A).rep.rows
 
 
-def test_is_reducible_witness_is_largest():
-    A = kron(as_matrix([[1, 2], [3, 4]]), identity(6))
-    red, s = is_reducible(A)
-    assert red and s == 6
+def test_canonical_level_examples():
+    assert _level(identity(2)) == 2
+    assert _level(as_matrix([[1, 0], [0, 2]])) == 1
+    assert _level(kron(as_matrix([[1, 2]]), identity(3))) == 3
+
+
+def test_canonical_level_is_largest():
+    assert _level(kron(as_matrix([[1, 2], [3, 4]]), identity(6))) == 6
 
 
 def test_canonicalize_examples():
@@ -77,10 +79,9 @@ def test_peel_order_independence():
         A0 = canonicalize(rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))).rep
         s = rng.randint(2, 12)
         A = kron(A0, identity(s))
-        # ascending prime peel (library) vs one-shot largest-factor peel
+        # ascending prime peel (library) vs one peel at the known factor
         asc = canonicalize(A).rep
-        red, witness = is_reducible(A)
-        desc = try_unkron(A, witness) if red else A
+        desc = try_unkron(A, s)
         assert asc == desc == A0
 
 
