@@ -72,6 +72,25 @@ def test_unit_class_rep_is_the_kron_unit():
         assert unit_class(e).rep == direct
 
 
+def test_gcd_chain_examples():
+    # step sizes of the plus chain from (j1, j2) and of the minus chain from
+    # (j1 - 1, j2 - 1); decompose_unit emits exactly these chains, signed
+    def steps(i, lo, hi):
+        return tuple(i // size for size, _, _ in _ref_chain(i, lo, hi))
+
+    for i, j1, j2, f, g in [
+        (2, 2, 2, (2,), (1,)),
+        (6, 4, 4, (2, 2), (3,)),
+        (4, 2, 4, (2,), (1,)),
+        (3, 1, 1, (1,), ()),  # j = 1 has an empty minus chain
+    ]:
+        assert steps(i, j1, j2) == f
+        assert steps(i, j1 - 1, j2 - 1) == g
+        coords = decompose_unit(Fraction(1), 1, 1, i, j1, j2)
+        got = {(e.i, e.j1, e.j2): c for e, c in coords.terms.items()}
+        assert got == ref_unit_expansion(i, j1, j2)
+
+
 def test_gcd_chain_partial_sums():
     # every greedy step s divides i, and the steps sum to the target index
     for i in range(1, 9):
