@@ -1,12 +1,13 @@
 """Semi-tensor product/addition algebra on identity-equivalence quotient spaces."""
 
+from types import ModuleType as _ModuleType
+
 from .matrix import (
     ABS_FLOOR,
     DEFAULT_RTOL,
     FLOAT64,
     RATIONAL,
     Matrix,
-    allocated_elems,
     eq_within,
     from_rows,
     identity,
@@ -53,4 +54,5 @@ from .metric import (
     tail_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names, without the submodules that the imports above bind.
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

@@ -19,12 +19,6 @@ from .metric import GapReport
 from .quotient import MatrixClass, canonicalize
 
 
-def format_entry(v, kind: str):
-    if kind == RATIONAL:
-        return str(v)
-    return float(v)
-
-
 def _integer(value, name: str) -> int:
     """A shape or index field, which must be a JSON integer (not a bool)."""
     try:
@@ -40,7 +34,7 @@ def matrix_to_dict(A: Matrix) -> dict:
         "rows": A.rows,
         "cols": A.cols,
         "scalar": A.scalar,
-        "data": [format_entry(v, A.scalar) for v in A.data],
+        "data": [str(v) for v in A.data] if A.scalar == RATIONAL else list(A.data),
     }
 
 
@@ -56,7 +50,7 @@ def matrix_from_dict(d: dict) -> Matrix:
 
 
 def matrix_to_csv(A: Matrix) -> str:
-    lines = [",".join(str(format_entry(v, A.scalar)) for v in A.row(i)) for i in range(A.rows)]
+    lines = [",".join(map(str, A.row(i))) for i in range(A.rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -32,24 +32,12 @@ _KIND_TYPES = {RATIONAL: Fraction, FLOAT64: float}
 # domain error).
 _MAX_ENTRIES = 10**7
 
-# Running count of matrix entries ever constructed. Purely test
-# instrumentation: lets the tests show that the lift-free semi-tensor
-# operations allocate only their output while the Kronecker-built
-# references materialize the lifts.
-_alloc_elems = 0
-
-
 def _check_budget(rows: int, cols: int) -> None:
     if rows * cols > _MAX_ENTRIES:
         raise ValueError(
             f"result would be {rows}x{cols} = {rows * cols} entries, "
             f"over the budget of {_MAX_ENTRIES}"
         )
-
-
-def allocated_elems() -> int:
-    """Total matrix entries allocated so far in this process."""
-    return _alloc_elems
 
 
 def as_scalar(value, kind: str) -> Scalar:
@@ -101,8 +89,6 @@ class Matrix:
             raise ValueError(f"unknown scalar kind {self.scalar!r}")
         if not all(map(isinstance, self.data, repeat(kind_type))):
             raise ValueError(f"{self.scalar} matrix entries must be {kind_type.__name__}")
-        global _alloc_elems
-        _alloc_elems += self.rows * self.cols
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -5,7 +5,9 @@ that the library itself does not need, Matrix-level references that
 build the identity lifts in full, an entry-by-entry peel check, span and
 rank checks by lcm lifts, basis coordinates by one gcd-chain telescope
 per entry, the Cauchy experiment's fill by its definition
-(``ref_delta_n``), and seeded random matrix generators.
+(``ref_delta_n``), seeded random matrix generators, and
+``counting_entries``, which counts the matrix entries built inside a
+``with`` block.
 
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
@@ -17,8 +19,10 @@ library never builds, which the allocation tests measure, and they work
 in both scalar kinds.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import fsum, gcd, lcm
+from types import SimpleNamespace
 
 from semitensor import FLOAT64, Matrix, RATIONAL, fill_value, from_rows
 from semitensor.matrix import _require_same_kind, _zero, scalar_eq
@@ -322,3 +326,25 @@ def rand_matrix(rng, m, n, **kw) -> Matrix:
 
 def as_matrix(lists) -> Matrix:
     return from_rows([[Fraction(v) for v in row] for row in lists], RATIONAL)
+
+
+# --- entries allocated ---------------------------------------------------
+
+@contextmanager
+def counting_entries():
+    """Count the matrix entries built inside a ``with`` block: the
+    yielded ``count.entries`` grows by rows * cols per ``Matrix`` built.
+    The dataclass ``__init__`` looks ``__post_init__`` up on the class,
+    so wrapping it there sees every construction."""
+    count = SimpleNamespace(entries=0)
+    original = Matrix.__post_init__
+
+    def counted(self):
+        original(self)
+        count.entries += self.rows * self.cols
+
+    Matrix.__post_init__ = counted
+    try:
+        yield count
+    finally:
+        Matrix.__post_init__ = original

@@ -13,6 +13,7 @@ from helpers import (
     _ref_chain,
     add,
     as_matrix,
+    counting_entries,
     e_matrix,
     rand_matrix,
     ref_coordinates,
@@ -24,7 +25,6 @@ from helpers import (
 from semitensor import (
     BasisElement,
     Coordinates,
-    allocated_elems,
     canonicalize,
     class_add,
     decompose_class,
@@ -232,10 +232,9 @@ def test_unit_class_checks_size_before_allocating(monkeypatch):
     # the unit of mu = 2/3 at i = 4 is 8 x 12, one entry over this budget
     e = BasisElement(Fraction(2, 3), 2, 3, 4, 1, 2)
     monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", 2 * 3 * 4 * 4 - 1)
-    before = allocated_elems()
-    with pytest.raises(ValueError, match="budget"):
+    with counting_entries() as count, pytest.raises(ValueError, match="budget"):
         unit_class(e)
-    assert allocated_elems() == before
+    assert count.entries == 0
     monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", 2 * 3 * 4 * 4)
     assert unit_class(e).rep == e_matrix(8, 12, 4, 9)
 

@@ -46,6 +46,15 @@ def test_sta_minus_and_right(capsys):
     code, out, _ = run(capsys, "--format", "csv", "sta", "[1]", "[[1,0],[0,2]]")
     assert code == 0
     assert out.strip().splitlines() == ["2,0", "0,3"]
+    # the right sums lift by I x A, so A's entries stay next to each other
+    a, i4 = "[[1,2],[3,4]]", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+    for flags, data in (
+        ((), "2 0 2 0 0 2 0 2 3 0 5 0 0 3 0 5"),
+        (("--right",), "2 2 0 0 3 5 0 0 0 0 2 2 0 0 3 5"),
+        (("--minus", "--right"), "0 2 0 0 3 3 0 0 0 0 0 2 0 0 3 3"),
+    ):
+        code, out, _ = run(capsys, "sta", *flags, a, i4)
+        assert code == 0 and json.loads(out)["data"] == data.split(), flags
 
 
 def test_equiv(capsys):
@@ -168,6 +177,11 @@ def test_overflowed_result_is_domain_error(capsys):
     pytest.param(("basis-list", "--mu", "0", "--imax", "2"), None, 1, "domain", id="zero_mu"),
     pytest.param(("basis-list", "--mu=-1/2", "--imax", "2"), None, 1, "domain",
                  id="negative_mu"),
+    pytest.param(("basis-list", "--mu", "x", "--imax", "2"), None, 2, "parse", id="bad_mu"),
+    pytest.param(("basis-list", "--mu", "1", "--imax", "0"), None, 1, "domain", id="zero_imax"),
+    pytest.param(("--scalar", "float64", "decompose", "[[1]]"), None, 1, "domain",
+                 id="float_decompose"),
+    pytest.param(("--out", ".", "canon", "[[1]]"), None, 2, "parse", id="out_is_a_directory"),
     pytest.param(("reconstruct",), {"coeff": 0.1}, 2, "parse", id="float_coeff"),
     pytest.param(("reconstruct",), {"coeff": "1", "i": 1.9}, 2, "parse", id="float_index"),
     pytest.param(("basis-list", "--mu", "1", "--imax", "10000"), None, 1, "domain",

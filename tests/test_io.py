@@ -73,6 +73,8 @@ def test_class_round_trip():
         d["k0"] = k0
         with pytest.raises(ValueError):
             class_from_dict(d)
+    with pytest.raises(ValueError, match="missing field"):
+        class_from_dict({"rep": d["rep"]})
 
 
 def test_class_from_dict_refuses_a_reducible_representative():
@@ -106,7 +108,7 @@ def test_coords_round_trip():
 @pytest.mark.parametrize("term", [
     {"coeff": "1/0"}, {}, {"coeff": "1", "k": None},
     {"coeff": 0.1}, {"coeff": "1", "i": 1.9}, {"coeff": "1", "j1": "1"}, {"coeff": "1", "l": 1.0},
-    {"coeff": "1", "k": True}, {"coeff": True},
+    {"coeff": "1", "k": True}, {"coeff": True}, {"coeff": "1", "kind": "N"},
 ])
 def test_coords_from_dict_rejects_bad_terms_with_value_error(term):
     full = {"k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1, **term}

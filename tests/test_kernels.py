@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     as_matrix,
+    counting_entries,
     matmul,
     rand_matrix,
     ref_inner,
@@ -28,7 +29,6 @@ from semitensor import (
     FLOAT64,
     Matrix,
     MatrixClass,
-    allocated_elems,
     canonicalize,
     class_mul,
     decompose_class,
@@ -101,9 +101,9 @@ def test_fast_agrees_in_float_mode():
 
 
 def _alloc_during(fn, *args):
-    before = allocated_elems()
-    out = fn(*args)
-    return allocated_elems() - before, out
+    with counting_entries() as count:
+        out = fn(*args)
+    return count.entries, out
 
 
 def test_allocation_footprints():
@@ -268,10 +268,9 @@ def test_size_budget_rejects_oversized_product_before_allocating():
     A = from_rows([[1] * 997] * 50)
     B = from_rows([[1] * 50] * 991)
     for op in (ltimes, rtimes):
-        before = allocated_elems()
-        with pytest.raises(ValueError, match="budget"):
+        with counting_entries() as count, pytest.raises(ValueError, match="budget"):
             op(A, B)
-        assert allocated_elems() == before
+        assert count.entries == 0
 
 
 def test_size_budget_covers_sums(monkeypatch):

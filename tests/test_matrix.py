@@ -8,13 +8,12 @@ from hypothesis import given
 
 from conftest import matrices
 import semitensor.matrix
-from helpers import add, as_matrix, frobenius_inner, matmul, o_kron, sub
+from helpers import add, as_matrix, counting_entries, frobenius_inner, matmul, o_kron, sub
 
 from semitensor import (
     FLOAT64,
     RATIONAL,
     Matrix,
-    allocated_elems,
     eq_within,
     from_rows,
     identity,
@@ -103,6 +102,11 @@ def test_frobenius_symmetric_bilinear(A, B, C):
     assert frobenius_inner(scale(3, A), C) == 3 * frobenius_inner(A, C)
 
 
+def test_str_lists_the_rows():
+    assert str(from_rows([[1, "1/2"], [3, -4]])) == "[1 1/2; 3 -4]"
+    assert str(from_rows([[1.5, -0.0]], FLOAT64)) == "[1.5 -0.0]"
+
+
 def test_eq_within():
     A = as_matrix([[1]])
     assert eq_within(A, A)
@@ -126,6 +130,8 @@ def test_validation():
         from_rows([[1], [2, 3]])
     with pytest.raises(ValueError):
         from_rows([[0.5]], RATIONAL)
+    with pytest.raises(ValueError, match="unknown scalar kind"):
+        semitensor.matrix.as_scalar(1, "bogus")
     # a bool is not the number 1 or 0, in either kind
     for kind in (RATIONAL, FLOAT64):
         for value in (True, False):
@@ -153,10 +159,9 @@ def test_every_entry_is_type_checked(scalar, data, message):
 def test_constructors_check_size_before_allocating(monkeypatch, make, args, shape):
     rows, cols = shape
     monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", rows * cols - 1)
-    before = allocated_elems()
-    with pytest.raises(ValueError, match="budget"):
+    with counting_entries() as count, pytest.raises(ValueError, match="budget"):
         make(*args)
-    assert allocated_elems() == before
+    assert count.entries == 0
     monkeypatch.setattr(semitensor.matrix, "_MAX_ENTRIES", rows * cols)
     assert make(*args).shape == shape
 
@@ -191,6 +196,7 @@ def test_rational_float_conversion():
     assert F.scalar == FLOAT64 and F.entry(1, 1) == 4.0
     back = to_rational(F)
     assert back == A
+    assert to_rational(A) is A
     # rationalization bounds the denominator explicitly
     x = from_rows([[0.3333333333333333]], FLOAT64)
     assert to_rational(x, max_denominator=100).entry(0, 0) == Fraction(1, 3)

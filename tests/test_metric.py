@@ -172,10 +172,13 @@ def test_predicted_gap_examples():
     assert math.isclose(predicted_gap(2, 1, 2), 4 * math.exp(-4), rel_tol=1e-15)
     gaps = [predicted_gap(n, 1, 2) for n in range(1, 8)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        predicted_gap(0, 1, 1)
 
 
 def test_gap_law():
     seq = _worked_sequence(7)
+    assert gap_reports(seq[:1]) == []
     for r in gap_reports(seq):
         assert r.rel_err <= 1e-12, f"gap law off at n={r.n}: rel={r.rel_err}"
 

@@ -12,6 +12,7 @@ from helpers import as_matrix, lift, rand_matrix, ref_try_unkron
 
 from semitensor import (
     Matrix,
+    MatrixClass,
     eq_within,
     from_rows,
     canonicalize,
@@ -110,6 +111,11 @@ def test_class_add_examples():
     assert class_add(x, zero_class(Fraction(1))) == x
     dm = canonicalize(as_matrix([[1, 0], [0, -1]]))
     assert class_add(one, dm).rep == as_matrix([[2, 0], [0, 0]])
+
+
+def test_matrix_class_checks_its_ratio():
+    with pytest.raises(ValueError, match="has ratio 1/2, not 1"):
+        MatrixClass(Fraction(1), as_matrix([[1, 2]]))
 
 
 def test_class_add_ratio_mismatch():
