@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
-from .matrix import RATIONAL, Matrix, _check_budget, as_scalar
+from .matrix import RATIONAL, Matrix, _check_budget, _denominator, _numerator, as_scalar
 from .quotient import MatrixClass, zero_class
 from .stp import _row_slices
 
@@ -139,13 +140,15 @@ def _carry(k0: int, cols: int, entries) -> dict[tuple[int, ...], int]:
 
 
 def _coordinates(x: MatrixClass) -> dict[tuple[int, ...], Fraction]:
-    # Coordinates keyed by sort_key: the nonzero entries as ints over d, the
-    # lcm of their denominators, carried; one Fraction per distinct value.
-    nonzero = [(idx, v) for idx, v in enumerate(x.rep.data) if v]
-    d = lcm(*[v.denominator for _, v in nonzero])
+    # Coordinates keyed by sort_key: the nonzero entries (found in C by the
+    # numerator slot getter) as ints over d, the lcm of their denominators,
+    # carried; one Fraction per distinct value.
+    data = x.rep.data
+    nonzero = [(idx, data[idx]) for idx in compress(count(), map(_numerator, data))]
+    d = lcm(*[_denominator(v) for _, v in nonzero])
     values, ints = {}, []
     for idx, v in nonzero:
-        w = v.numerator * (d // v.denominator)
+        w = _numerator(v) * (d // _denominator(v))
         values[w] = v
         ints.append((idx, w))
     coords = _carry(x.k0, x.rep.cols, ints)

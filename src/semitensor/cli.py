@@ -95,10 +95,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_matrix(A: Matrix, args) -> None:
-    if args.format == "csv":
-        _emit(sio.matrix_to_csv(A), args.out)
-    else:
-        _emit(sio.dump_json(sio.matrix_to_dict(A)), args.out)
+    if A.scalar == FLOAT64 and not all(map(math.isfinite, A.data)):
+        raise ValueError("result has a NaN or infinite entry, which JSON and CSV output refuse")
+    text = sio.matrix_to_csv(A) if args.format == "csv" else sio.dump_json(sio.matrix_to_dict(A))
+    _emit(text, args.out)
 
 
 def _to_class(A: Matrix, tol: float) -> MatrixClass:
@@ -118,9 +118,7 @@ def _to_class(A: Matrix, tol: float) -> MatrixClass:
 
 
 def _scalar_json(v) -> dict:
-    if isinstance(v, Fraction):
-        return {"value": str(v)}
-    return {"value": v}
+    return {"value": str(v) if isinstance(v, Fraction) else v}
 
 
 @functools.cache  # one parser per process; parse_args keeps no state in it

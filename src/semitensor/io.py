@@ -116,12 +116,9 @@ GAP_CSV_HEADER = "n,rows,cols,gap_measured,gap_predicted,rel_err"
 
 
 def gap_reports_to_csv(reports: list[GapReport]) -> str:
-    lines = [GAP_CSV_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.n},{r.rows},{r.cols},{r.gap_measured!r},{r.gap_predicted!r},{r.rel_err!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [f"{r.n},{r.rows},{r.cols},{r.gap_measured!r},{r.gap_predicted!r},{r.rel_err!r}"
+            for r in reports]
+    return "\n".join([GAP_CSV_HEADER, *rows]) + "\n"
 
 
 def dump_json(obj: dict) -> str:

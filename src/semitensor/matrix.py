@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import attrgetter
 from typing import Sequence, Union
 
 RATIONAL = "rational"
@@ -24,8 +25,10 @@ ABS_FLOOR = 1e-15
 
 Scalar = Union[Fraction, float]
 
-# The entry type of each scalar kind.
+# The entry type of each scalar kind, and a rational entry's integer parts
+# read from Fraction's own slots in C (its properties are Python functions).
 _KIND_TYPES = {RATIONAL: Fraction, FLOAT64: float}
+_numerator, _denominator = attrgetter("_numerator"), attrgetter("_denominator")
 
 # Largest matrix, in entries, that an operation or constructor allocates.
 # Checked before any allocation; a bigger result raises ValueError (a
@@ -111,15 +114,13 @@ class Matrix:
 
 def from_rows(rows: Sequence[Sequence], scalar: str = RATIONAL) -> Matrix:
     """Build a matrix from nested sequences, coercing entries."""
-    m = len(rows)
-    if m == 0:
+    if not rows:
         raise ValueError("matrix needs at least one row")
     n = len(rows[0])
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("ragged rows")
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged rows")
     data = tuple(as_scalar(v, scalar) for r in rows for v in r)
-    return Matrix(m, n, data, scalar)
+    return Matrix(len(rows), n, data, scalar)
 
 
 def _zero(kind: str) -> Scalar:
@@ -155,9 +156,7 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
             a = A.data[i * n + j]
             for r in range(p):
                 base = (i * p + r) * ocols + j * q
-                brow = r * q
-                for c in range(q):
-                    out[base + c] = a * B.data[brow + c]
+                out[base : base + q] = [a * b for b in B.data[r * q : (r + 1) * q]]
     return Matrix(m * p, n * q, tuple(out), A.scalar)
 
 

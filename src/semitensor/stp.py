@@ -42,7 +42,9 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .matrix import RATIONAL, Matrix, _check_budget, _require_same_kind, _zero
+from .matrix import (
+    RATIONAL, Matrix, _check_budget, _denominator, _numerator, _require_same_kind, _zero,
+)
 
 
 def ratio_of(A: Matrix) -> Fraction:
@@ -82,10 +84,11 @@ def _lifted_rows(data, m: int, n: int, s: int, right: bool = False):
 
 
 def _integers(A: Matrix) -> tuple[list[int], int]:
-    """Entries of a rational A as ints over one common denominator d, the
-    lcm of all of A's denominators; and d."""
-    d = lcm(*(v.denominator for v in A.data))
-    return [v.numerator * (d // v.denominator) for v in A.data], d
+    """Entries of a rational A, read by the slot getters, as ints over one
+    common denominator d, the lcm of all of A's denominators; and d."""
+    dens = list(map(_denominator, A.data))
+    d = lcm(*dens)
+    return [n * (d // e) for n, e in zip(map(_numerator, A.data), dens)], d
 
 
 def _product_sum(terms, d: int = 1, right: bool = False) -> Matrix:

@@ -25,6 +25,8 @@ from helpers import (
 from semitensor import (
     BasisElement,
     Coordinates,
+    Matrix,
+    MatrixClass,
     canonicalize,
     class_add,
     decompose_class,
@@ -506,3 +508,15 @@ def test_coordinates_match_the_per_entry_route(mu):
             x = reconstruct(coords)
             assert x.k0 == L
             assert keyed(decompose_class(x)) == ref_coordinates(x) == keyed(coords)
+
+    # the workload's shape: a k0 = 60 representative with about 80
+    # nonzeros, its zeros distinct objects (as from_rows builds them) or
+    # one shared object (as reconstruct builds them)
+    size = 60 * p * 60 * q
+    nonzero = {idx: value() or Fraction(1) for idx in rng.sample(range(size), 80)}
+    shared = Fraction(0)
+    for zero in (Fraction, lambda: shared):
+        data = tuple(nonzero[idx] if idx in nonzero else zero() for idx in range(size))
+        x = MatrixClass(mu, Matrix(60 * p, 60 * q, data))
+        assert canonicalize(x.rep).rep is x.rep
+        assert keyed(decompose_class(x)) == ref_coordinates(x)

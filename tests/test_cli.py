@@ -193,6 +193,16 @@ def test_overflowed_result_is_domain_error(capsys):
                  id="boolean_float_entry"),
     pytest.param(("reconstruct",), {"k": True, "coeff": True}, 2, "parse",
                  id="boolean_term"),
+    # a non-finite float result: CSV refuses it as JSON does
+    pytest.param(("--scalar", "float64", "--format", "csv", "stp", "[[1e300]]", "[[1e300]]"),
+                 None, 1, "domain", id="csv_stp_overflow"),
+    pytest.param(("--scalar", "float64", "--format", "csv", "stp", "--right", "[[1e300, 1e300]]",
+                  "[[1e300], [-1e300]]"), None, 1, "domain", id="csv_stp_right_nan"),
+    pytest.param(("--scalar", "float64", "--format", "csv", "sta", "[[1e308]]", "[[1e308]]"),
+                 None, 1, "domain", id="csv_sta_overflow"),
+    pytest.param(("--scalar", "float64", "--format", "csv", "sta", "--minus", "--right",
+                  "[[1e308]]", "[[-1e308]]"), None, 1, "domain",
+                 id="csv_sta_minus_right_overflow"),
 ])
 def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, error):
     if term is not None:

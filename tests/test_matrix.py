@@ -22,6 +22,7 @@ from semitensor import (
     to_rational,
     zeros,
 )
+from semitensor.matrix import _denominator, _numerator, as_scalar
 
 
 def test_kron_identity_left_and_right():
@@ -200,3 +201,21 @@ def test_rational_float_conversion():
     # rationalization bounds the denominator explicitly
     x = from_rows([[0.3333333333333333]], FLOAT64)
     assert to_rational(x, max_denominator=100).entry(0, 0) == Fraction(1, 3)
+
+
+class _Half(Fraction):
+    """A Fraction subclass, which Matrix accepts as a rational entry."""
+
+
+def test_slot_getters_read_the_integer_parts():
+    # The whole-matrix scans read Fraction's two slots; if a Python ever
+    # changes that layout, this fails instead of the scans reading wrong.
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    values = (
+        Fraction(0), Fraction(-5), Fraction(-7, 3), Fraction(2**200 + 1, 3),
+        Fraction(-(2**200), 3), as_scalar("-6/4", RATIONAL), as_scalar("10/2", RATIONAL),
+        as_scalar(" 0/7 ", RATIONAL), _Half(-3, 6),
+    )
+    for v in Matrix(1, len(values), values).data:
+        assert (_numerator(v), _denominator(v)) == (v.numerator, v.denominator), v
+        assert type(_numerator(v)) is int and type(_denominator(v)) is int

@@ -11,6 +11,7 @@ from conftest import matrices, matrix_pairs_same_ratio
 from helpers import as_matrix, matmul, o_lplus, o_ltimes, o_rplus, o_rtimes, rand_matrix
 
 from semitensor import (
+    Matrix,
     equivalent,
     from_rows,
     identity,
@@ -23,6 +24,7 @@ from semitensor import (
     rtimes,
     zeros,
 )
+from semitensor.stp import _integers
 
 
 def test_ltimes_examples():
@@ -141,3 +143,18 @@ def test_against_independent_oracle():
 def test_ratio_of():
     assert ratio_of(as_matrix([[1, 2], [3, 4]])) == 1
     assert ratio_of(from_rows([[1, 2, 3, 4]])) == Fraction(1, 4)
+
+
+def test_integers_match_the_properties():
+    # huge and negative numerators, distinct and shared zeros, prime
+    # denominators: each entry is its numerator over the common lcm
+    rng = random.Random(59)
+    zero = Fraction(0)
+    values = [Fraction(-(2**200) - 1, 3), Fraction(2**130, 10007), Fraction(-9, 97), zero, zero]
+    values += [Fraction(rng.randint(-(10**30), 10**30), rng.choice((1, 2, 9973)))
+               for _ in range(7)]
+    A = Matrix(2, 6, tuple(values))
+    ints, d = _integers(A)
+    assert d == lcm(*(v.denominator for v in A.data))
+    assert ints == [v.numerator * (d // v.denominator) for v in A.data]
+    assert all(type(w) is int for w in ints)
