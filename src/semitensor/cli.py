@@ -64,7 +64,8 @@ def _resolve_tol(flag: float | None) -> float:
 
 
 def _load_matrix(arg: str, scalar: str) -> Matrix:
-    """A path (JSON or CSV by content) or an inline JSON array literal."""
+    """A path (JSON or CSV by content) or an inline JSON array literal. A
+    class file's representative is read by ``io.class_from_dict``."""
     try:
         if arg.lstrip().startswith("["):
             rows = json.loads(arg)
@@ -74,7 +75,8 @@ def _load_matrix(arg: str, scalar: str) -> Matrix:
         else:
             text = Path(arg).read_text()
             if text.lstrip().startswith("{"):
-                A = sio.matrix_from_dict(json.loads(text))
+                d = json.loads(text)
+                A = sio.class_from_dict(d).rep if "rep" in d else sio.matrix_from_dict(d)
             else:
                 A = sio.matrix_from_csv(text, scalar)
     except (OSError, ValueError, TypeError, ZeroDivisionError, json.JSONDecodeError) as exc:
@@ -134,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"override via {TOL_ENV})")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="output format for matrix results")
+                   help="output format of the stp and sta matrix results")
     sub = p.add_subparsers(dest="verb", required=True)
 
     two = argparse.ArgumentParser(add_help=False)
@@ -170,6 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> None:
     tol = _resolve_tol(args.tol)
     verb = args.verb
+    if args.format == "csv" and verb not in ("stp", "sta"):
+        raise _ParseFailure(f"--format csv applies only to stp and sta, not {verb}")
 
     if verb in ("stp", "sta", "equiv"):
         A, B = (_load_matrix(m, args.scalar) for m in (args.a, args.b))
@@ -195,8 +199,6 @@ def _run(args) -> None:
         _emit(sio.dump_json(sio.class_to_dict(x)), args.out)
     elif verb == "decompose":
         A = _load_matrix(args.a, args.scalar)
-        if A.scalar != RATIONAL:
-            raise ValueError("decompose needs exact-rational input; rationalize first")
         _emit(sio.dump_json(sio.coords_to_dict(decompose_class(canonicalize(A)))), args.out)
     elif verb == "reconstruct":
         try:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import inf
 from operator import attrgetter
 from typing import Sequence, Union
 
@@ -61,14 +62,15 @@ def as_scalar(value, kind: str) -> Scalar:
 
 
 def scalar_eq(a: Scalar, b: Scalar, kind: str, rtol: float | None = None) -> bool:
-    """Equality for one entry. rtol=0 means exact even in float mode."""
+    """Equality for one entry. rtol=0 means exact even in float mode.
+    Under a tolerance an infinite entry equals no value, not even itself."""
     if kind == RATIONAL:
         return a == b
     if rtol is None:
         rtol = DEFAULT_RTOL
     if rtol == 0.0:
         return a == b
-    return abs(a - b) <= max(rtol * max(abs(a), abs(b)), ABS_FLOOR)
+    return (d := abs(a - b)) < inf and d <= max(rtol * max(abs(a), abs(b)), ABS_FLOOR)
 
 
 @dataclass(frozen=True)

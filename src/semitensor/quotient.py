@@ -102,21 +102,16 @@ class MatrixClass:
 def canonicalize(A: Matrix, rtol: float | None = None) -> MatrixClass:
     """Class of A: peel identity factors until irreducible.
 
-    Peels one prime factor of gcd(rows, cols) at a time; the result is
-    independent of peel order because the irreducible representative is
-    unique. Float-mode peeling is tolerance-dependent (pass rtol=0 for
-    exact comparisons).
+    One ascending pass over the primes of gcd(rows, cols) peels each while
+    ``try_unkron`` succeeds. Under exact comparison (exact mode, or rtol=0)
+    a prime that fails once never passes later: the result is the unique
+    irreducible representative. A float tolerance is not transitive, so
+    there the level is the one this pass reaches; no prime is retried.
     """
     rep = A
-    while True:
-        g = gcd(rep.rows, rep.cols)
-        for s in _prime_factors(g):
-            peeled = try_unkron(rep, s, rtol)
-            if peeled is not None:
-                rep = peeled
-                break
-        else:
-            break
+    for p in _prime_factors(gcd(A.rows, A.cols)):
+        while (peeled := try_unkron(rep, p, rtol)) is not None:
+            rep = peeled
     return MatrixClass(ratio_of(A), rep)
 
 

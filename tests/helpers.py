@@ -2,7 +2,8 @@
 lifted-product definitions, plain Matrix arithmetic (``matmul``, ``add``,
 ``sub``, ``frobenius_inner``) and the single-entry matrix ``e_matrix``
 that the library itself does not need, Matrix-level references that
-build the identity lifts in full, an entry-by-entry peel check, span and
+build the identity lifts in full, an entry-by-entry peel check and the
+canonical form by restarted peels over it, span and
 rank checks by lcm lifts, basis coordinates by one gcd-chain telescope
 per entry, the Cauchy experiment's fill by its definition
 (``ref_delta_n``), seeded random matrix generators, and
@@ -213,6 +214,20 @@ def ref_try_unkron(A: Matrix, s: int, rtol=None):
                         return None
             vals.append(d)
     return Matrix(m, n, tuple(vals), kind)
+
+
+def ref_canonicalize(A: Matrix, rtol=None) -> Matrix:
+    """The representative by restarts: peel the smallest s >= 2 that
+    ``ref_try_unkron`` accepts, then start again from s = 2, until no s
+    peels. Under exact comparison the first s that peels is prime, so this
+    is the restart loop over primes."""
+    while True:
+        g = gcd(A.rows, A.cols)
+        peeled = next((B for s in range(2, g + 1)
+                       if (B := ref_try_unkron(A, s, rtol)) is not None), None)
+        if peeled is None:
+            return A
+        A = peeled
 
 
 # --- span and rank by lcm lifts -------------------------------------------

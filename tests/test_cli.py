@@ -85,6 +85,24 @@ def test_decompose_reconstruct_round_trip(capsys, tmp_path):
     assert cls == canonicalize(as_matrix([[2, 0], [0, 3]]))
 
 
+def test_class_files_read_back_as_operands(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    code, _, _ = run(capsys, "--out", str(path), "canon", "[[2,0],[0,2]]")
+    assert code == 0
+    c = str(path)
+    code, out, _ = run(capsys, "inner", c, c)
+    assert (code, json.loads(out)) == (0, {"value": "4"})
+    code, out, _ = run(capsys, "canon", c)
+    assert (code, out) == (0, path.read_text())
+    code, out, _ = run(capsys, "stp", c, "[[1,2]]")
+    assert code == 0 and matrix_from_dict(json.loads(out)) == as_matrix([[2, 4]])
+    # a class file whose representative peels is refused, as io refuses it
+    path.write_text(json.dumps({"mu": "1", "rep": {"rows": 2, "cols": 2, "scalar": "rational",
+                                                   "data": ["2", "0", "0", "2"]}}))
+    code, out, err = run(capsys, "inner", c, c)
+    assert (code, out) == (2, "") and "reducible" in json.loads(err)["message"]
+
+
 def test_bracket_inner_dist(capsys):
     code, out, _ = run(capsys, "bracket", "[[0,1],[0,0]]", "[[0,0],[1,0]]")
     assert code == 0
@@ -203,6 +221,9 @@ def test_overflowed_result_is_domain_error(capsys):
     pytest.param(("--scalar", "float64", "--format", "csv", "sta", "--minus", "--right",
                   "[[1e308]]", "[[-1e308]]"), None, 1, "domain",
                  id="csv_sta_minus_right_overflow"),
+    # only stp and sta print a matrix: CSV is refused for every other verb
+    pytest.param(("--format", "csv", "canon", "[[1,2],[3,4]]"), None, 2, "parse", id="csv_canon"),
+    pytest.param(("--format", "csv", "inner", "[1]", "[[1]]"), None, 2, "parse", id="csv_inner"),
 ])
 def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, error):
     if term is not None:
