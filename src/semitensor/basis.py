@@ -162,10 +162,9 @@ def decompose_class(x: MatrixClass) -> Coordinates:
     read as a p x q grid of k0 x k0 cells, its entry at 1-based (I, J) the
     unit E(p x q; k, l) x E(k0 x k0; j1, j2) with I = (k-1)k0 + j1 and
     J = (l-1)k0 + j2, and all these units telescope at once (``_carry``)."""
-    if x.scalar != RATIONAL:
-        raise ValueError("coordinates are exact-rational; rationalize the class first")
+    coords = next(_coordinate_rows([x]))
     return Coordinates(x.mu, {
-        BasisElement(x.mu, k, l, i, j1, j2): c for (i, j1, j2, k, l), c in _coordinates(x).items()
+        BasisElement(x.mu, k, l, i, j1, j2): c for (i, j1, j2, k, l), c in coords.items()
     })
 
 
@@ -222,7 +221,7 @@ def _coordinate_rows(classes):
     classes = list(classes)
     for x in classes:
         if x.scalar != RATIONAL:
-            raise ValueError("span checks need exact-rational classes")
+            raise ValueError("coordinates are exact-rational; rationalize the class first")
         if x.mu != classes[0].mu:
             raise ValueError(f"mixed ratios: {x.mu} vs {classes[0].mu}")
     return map(_coordinates, classes)

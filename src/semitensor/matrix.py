@@ -63,14 +63,15 @@ def as_scalar(value, kind: str) -> Scalar:
 
 def scalar_eq(a: Scalar, b: Scalar, kind: str, rtol: float | None = None) -> bool:
     """Equality for one entry. rtol=0 means exact even in float mode.
-    Under a tolerance an infinite entry equals no value, not even itself."""
+    Under a tolerance an infinite entry equals itself and no other value,
+    and NaN equals nothing."""
     if kind == RATIONAL:
         return a == b
     if rtol is None:
         rtol = DEFAULT_RTOL
     if rtol == 0.0:
         return a == b
-    return (d := abs(a - b)) < inf and d <= max(rtol * max(abs(a), abs(b)), ABS_FLOOR)
+    return a == b or ((d := abs(a - b)) < inf and d <= max(rtol * max(abs(a), abs(b)), ABS_FLOOR))
 
 
 @dataclass(frozen=True)

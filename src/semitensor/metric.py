@@ -40,21 +40,17 @@ def inner(x: MatrixClass, y: MatrixClass):
     only if i = j (mod sy), at the lifted positions (i*sx + d, j*sx + d),
     d < sx. Each lifted row therefore pairs two strided slices, one of
     X's row and one of Y's. Products of nonzero entries stream in
-    row-major lifted order through one generator: float mode sums them
-    with ``math.fsum`` (whose overflow depends on that order); exact mode
-    scales each representative to integers over one common denominator,
-    sums the integer products and divides by the two denominators once.
+    row-major lifted order through one generator, each representative
+    read by ``stp._integers``: float mode sums them with ``math.fsum``
+    (whose overflow depends on that order); exact mode sums the integer
+    products and divides by the two common denominators once.
     """
     _require_same_mu(x, y)
     _require_same_kind(x.rep, y.rep)
     X, Y = x.rep, y.rep
     t = lcm(X.rows, Y.rows)
     sx, sy = t // X.rows, t // Y.rows
-    exact = x.scalar != FLOAT64
-    if exact:
-        (xs, dx), (ys, dy) = _integers(X), _integers(Y)
-    else:
-        xs, ys = X.data, Y.data
+    (xs, dx), (ys, dy) = _integers(X), _integers(Y)
 
     def lifted_rows():
         # Lifted row r = i*sx + d pairs X's row i at columns j = i mod sy,
@@ -68,7 +64,7 @@ def inner(x: MatrixClass, y: MatrixClass):
                 yield a, ys[y_row + (j0 * sx + d) // sy : y_row + Y.cols : sx]
 
     products = (v * w for a, b in lifted_rows() for v, w in zip(a, b) if v and w)
-    return Fraction(sum(products), dx * dy) if exact else math.fsum(products)
+    return math.fsum(products) if X.scalar == FLOAT64 else Fraction(sum(products), dx * dy)
 
 
 def norm(x: MatrixClass) -> float:

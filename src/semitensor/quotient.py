@@ -155,11 +155,10 @@ def class_mul(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> Matr
 
 
 def lie_bracket(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> MatrixClass:
-    """[x, y] = x*y - y*x on the ratio-1 space. Exact mode canonicalizes
-    once, the integer sum XY - YX of the raw products; float mode
-    canonicalizes each product and their difference at rtol."""
+    """[x, y] = x*y - y*x on the ratio-1 space, in either kind: the raw
+    XY - YX, canonicalized once at rtol. Under a float tolerance no product
+    is peeled first: diag(1, 1 + 5e-10) and the 3 x 3 unit E(1, 2) bracket
+    to the 6 x 6 class they give at rtol=0, not to [0.0]."""
     if x.mu != 1 or y.mu != 1:
         raise ValueError(f"bracket needs ratio 1, got {x.mu} and {y.mu}")
-    if x.scalar == y.scalar == RATIONAL:
-        return canonicalize(_commutator(x.rep, y.rep))
-    return class_sub(class_mul(x, y, rtol), class_mul(y, x, rtol), rtol)
+    return canonicalize(_commutator(x.rep, y.rep), rtol)

@@ -18,17 +18,16 @@ the pairing there reads both lifts as strided row slices. Everything
 allocates only its result. Exact mode agrees bit for bit with the
 Kronecker-built definitions, which the test suite keeps as references.
 
-In exact mode a product does its arithmetic on Python ints: each
-operand is scaled by one common denominator, the lcm of all its
-denominators, the integer numerators are multiplied and summed a lifted
-row at a time, and each nonzero output cell becomes one ``Fraction``
-over the product of the two denominators. The exact Lie bracket's
-XY - YX (``_commutator``) sums both t x t products, whose denominator is
-the same, into one such integer accumulator, X negated once in YX, and
-builds its one matrix from it. Float mode multiplies the entries as
-they are. Neither mode multiplies a stored zero of either lift, so an
-inf or NaN entry facing a zero adds nothing where the ordinary product
-of the lifts makes NaN.
+Every product reads its operands through one reader, ``_integers``: a
+rational operand as integer numerators over one common denominator, the
+lcm of its denominators, a float one as its entries over 1. The entries
+read are multiplied and summed a lifted row at a time; in exact mode
+each nonzero output cell becomes one ``Fraction`` over the product of
+the two denominators. The Lie bracket's XY - YX (``_commutator``)
+subtracts the two t x t products cell by cell and builds one matrix in
+either kind, which the bracket peels once. Neither mode multiplies a
+stored zero of either lift, so an inf or NaN entry facing a zero adds
+nothing where the ordinary product of the lifts makes NaN.
 
 Every result is checked against the matrix module's size budget,
 ``_MAX_ENTRIES``, before anything is allocated; a larger result raises
@@ -83,58 +82,63 @@ def _lifted_rows(data, m: int, n: int, s: int, right: bool = False):
                 yield r, range(c, c + n * step, step), row
 
 
-def _integers(A: Matrix) -> tuple[list[int], int]:
-    """Entries of a rational A, read by the slot getters, as ints over one
-    common denominator d, the lcm of all of A's denominators; and d."""
+def _integers(A: Matrix) -> tuple[list | tuple, int]:
+    """Entries of A as a product or pairing multiplies them, over one common
+    denominator d; and d. Rational entries are read by the slot getters as
+    ints over the lcm of A's denominators; float entries as they are, d = 1."""
+    if A.scalar != RATIONAL:
+        return A.data, 1
     dens = list(map(_denominator, A.data))
     d = lcm(*dens)
     return [n * (d // e) for n, e in zip(map(_numerator, A.data), dens)], d
 
 
-def _product_sum(terms, d: int = 1, right: bool = False) -> Matrix:
-    # The sum of the products of the lifts of A and B over (A, a, B, b) in
-    # terms, all of one shape and kind; a and b are the row-major entries
-    # read, A's and B's own or, in exact mode, their integer numerators
-    # over a common d of every product. Output row r sums, over the
+def _product_rows(A: Matrix, a, B: Matrix, b, right: bool = False) -> list[list]:
+    # The rows of the product of the lifts of A and B, a and b the
+    # row-major entries ``_integers`` reads. Output row r sums, over the
     # nonzero v at column k of lifted row r of A, v times the nonzero
     # entries of lifted row k of B: each cell accumulates over ascending
     # k, exactly as the ordinary product of the two lifts would.
-    A, _, B, _ = terms[0]
     t = lcm(A.cols, B.rows)
     rows, cols = A.rows * t // A.cols, B.cols * t // B.rows
     _check_budget(rows, cols)
-    exact = A.scalar == RATIONAL
-    acc = [[0 if exact else 0.0] * cols for _ in range(rows)]
-    for A, a, B, b in terms:
-        b_rows = [()] * t
-        for k, cs, row in _lifted_rows(b, B.rows, B.cols, t // B.rows, right):
-            b_rows[k] = [(c, w) for c, w in zip(cs, row) if w]
-        for r, ks, row in _lifted_rows(a, A.rows, A.cols, t // A.cols, right):
-            out = acc[r]
-            for k, v in zip(ks, row):
-                if v:
-                    for c, w in b_rows[k]:
-                        out[c] += v * w
-    if exact:
+    acc = [[0 if A.scalar == RATIONAL else 0.0] * cols for _ in range(rows)]
+    b_rows = [()] * t
+    for k, cs, row in _lifted_rows(b, B.rows, B.cols, t // B.rows, right):
+        b_rows[k] = [(c, w) for c, w in zip(cs, row) if w]
+    for r, ks, row in _lifted_rows(a, A.rows, A.cols, t // A.cols, right):
+        out = acc[r]
+        for k, v in zip(ks, row):
+            if v:
+                for c, w in b_rows[k]:
+                    out[c] += v * w
+    return acc
+
+
+def _assemble(acc: list[list], d: int, kind: str) -> Matrix:
+    # The matrix of accumulated rows, each nonzero exact cell over d.
+    if kind == RATIONAL:
         zero = _zero(RATIONAL)
         for row in acc:
             row[:] = [Fraction(v, d) if v else zero for v in row]
-    return Matrix(rows, cols, tuple(chain.from_iterable(acc)), A.scalar)
+    return Matrix(len(acc), len(acc[0]), tuple(chain.from_iterable(acc)), kind)
 
 
 def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
     _require_same_kind(A, B)
-    if A.scalar != RATIONAL:
-        return _product_sum([(A, A.data, B, B.data)], right=right)
     (a, da), (b, db) = _integers(A), _integers(B)
-    return _product_sum([(A, a, B, b)], da * db, right)
+    return _assemble(_product_rows(A, a, B, b, right), da * db, A.scalar)
 
 
 def _commutator(X: Matrix, Y: Matrix) -> Matrix:
-    """XY - YX for square rational X and Y: both products are t x t,
-    t = lcm of the sizes, over dx * dy, so one integer sum holds both."""
+    """XY - YX for square X and Y of one kind: the t x t products, over
+    dx * dy, subtracted cell by cell, so XX - XX is zero in float too."""
+    _require_same_kind(X, Y)
     (x, dx), (y, dy) = _integers(X), _integers(Y)
-    return _product_sum([(X, x, Y, y), (Y, y, X, [-v for v in x])], dx * dy)
+    xy = _product_rows(X, x, Y, y)
+    for row, other in zip(xy, _product_rows(Y, y, X, x)):
+        row[:] = map(operator.sub, row, other)
+    return _assemble(xy, dx * dy, X.scalar)
 
 
 def ltimes(A: Matrix, B: Matrix) -> Matrix:

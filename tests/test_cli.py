@@ -116,7 +116,7 @@ def test_bracket_inner_dist(capsys):
 def test_tol_reaches_bracket_and_dist(capsys):
     # Near-lifts that --tol 0 keeps apart: the distance is that of the
     # library at rtol=0.0 (the default tolerance would give 1.0), and the
-    # bracket keeps its 4 x 4 products unpeeled, as lie_bracket at rtol=0.0.
+    # bracket keeps its 4 x 4 XY - YX unpeeled, as lie_bracket at rtol=0.0.
     exact = ("--scalar", "float64", "--tol", "0")
     code, out, _ = run(capsys, *exact, "dist", "[1]", "[[2,0],[0,2.0000000005]]")
     assert code == 0 and json.loads(out)["value"] == 1.4142135627266486

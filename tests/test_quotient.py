@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import matrices
-from helpers import as_matrix, lift, rand_matrix, ref_canonicalize, ref_try_unkron
+from helpers import (
+    as_matrix, lift, rand_matrix, ref_canonicalize, ref_lminus, ref_ltimes, ref_try_unkron,
+)
 
 from semitensor import (
     Matrix,
@@ -204,13 +206,15 @@ def test_lie_bracket_rejects_mixed_kinds():
             lie_bracket(a, b)
 
 
+BRACKET_SIZES = [(n, m) for n in range(1, 7) for m in range(1, 7)] + [(4, 9), (10, 12)]
+
+
 def test_exact_bracket_is_the_difference_of_the_product_classes():
     # The exact bracket canonicalizes one integer sum XY - YX; by definition
     # it is the class of the difference of the two product classes.
     rng = random.Random(127)
     one = Fraction(1)
-    sizes = [(n, m) for n in range(1, 7) for m in range(1, 7)] + [(4, 9), (10, 12)]
-    for n, m in sizes:
+    for n, m in BRACKET_SIZES:
         for den in (1, 3, 97):
             x = canonicalize(rand_matrix(rng, n, n, max_den=den))
             y = canonicalize(rand_matrix(rng, m, m, max_den=den))
@@ -219,6 +223,51 @@ def test_exact_bracket_is_the_difference_of_the_product_classes():
                 assert lie_bracket(a, b) == class_sub(class_mul(a, b), class_mul(b, a))
             assert lie_bracket(x, x) == lie_bracket(c, y) == zero_class(one)
             assert lie_bracket(c, y).rep == as_matrix([[0]])
+
+
+def _float_matrix(A: Matrix) -> Matrix:
+    return Matrix(A.rows, A.cols, tuple(map(float, A.data)), FLOAT64)
+
+
+def test_float_bracket_of_integer_values_is_the_exact_bracket():
+    # Integer entries keep every float product and difference exact, so
+    # the float bracket holds the exact bracket's entries, bit for bit.
+    rng = random.Random(151)
+    for n, m in BRACKET_SIZES:
+        X, Y = rand_matrix(rng, n, n, max_den=1), rand_matrix(rng, m, m, max_den=1)
+        want = _float_matrix(lie_bracket(canonicalize(X), canonicalize(Y)).rep)
+        x, y = (canonicalize(_float_matrix(A), rtol=0.0) for A in (X, Y))
+        for rtol in (0.0, None):
+            assert repr(lie_bracket(x, y, rtol).rep) == repr(want), (n, m, rtol)
+
+
+def test_float_bracket_at_rtol_0_is_the_difference_of_the_raw_products():
+    # XY - YX is subtracted cell by cell from the two raw products, each
+    # summed over ascending k as the ordinary product of the lifts does,
+    # so [x, x] is the zero class in float mode too.
+    rng = random.Random(157)
+    for n, m in BRACKET_SIZES:
+        X, Y = (Matrix(k, k, tuple(rng.uniform(-4, 4) for _ in range(k * k)), FLOAT64)
+                for k in (n, m))
+        x, y = canonicalize(X, rtol=0.0), canonicalize(Y, rtol=0.0)
+        for a, b in ((x, y), (y, x), (x, x)):
+            xy, yx = ref_ltimes(a.rep, b.rep), ref_ltimes(b.rep, a.rep)
+            want = canonicalize(ref_lminus(xy, yx), rtol=0.0)
+            assert repr(lie_bracket(a, b, rtol=0.0)) == repr(want), (n, m)
+        assert lie_bracket(x, x) == zero_class(Fraction(1), FLOAT64)
+
+
+def test_float_bracket_peels_the_difference_once():
+    # Under a tolerance XY - YX is peeled once and no product is peeled
+    # first: the bracket is the 6 x 6 class both rules give at rtol=0.
+    x = canonicalize(from_rows([[1.0, 0.0], [0.0, 1 + 5e-10]], FLOAT64), rtol=0.0)
+    e12 = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    y = canonicalize(from_rows(e12, FLOAT64))
+    want = lie_bracket(x, y, rtol=0.0)
+    assert want.rep.shape == (6, 6) and lie_bracket(x, y) == want
+    # Peeling each product first makes both the class of y, and the bracket 0.
+    assert class_mul(x, y) == class_mul(y, x) == y
+    assert class_sub(class_mul(x, y), class_mul(y, x)) == zero_class(Fraction(1), FLOAT64)
 
 
 def _random_class(rng, mu, max_k0=3):
@@ -364,7 +413,16 @@ def test_float_peel_keeps_nan_and_signed_zero_rules():
     assert try_unkron(signed, 2, 0.0) == Matrix(1, 1, (-0.0,), FLOAT64)
     inf_lift = Matrix(2, 2, (math.inf, 0.0, 0.0, math.inf), FLOAT64)
     assert try_unkron(inf_lift, 2, 0.0) == Matrix(1, 1, (math.inf,), FLOAT64)
-    assert try_unkron(inf_lift, 2) is None  # inf - inf is NaN under a tolerance
+    assert try_unkron(inf_lift, 2) == Matrix(1, 1, (math.inf,), FLOAT64)  # inf == inf first
+
+
+def test_infinity_equals_itself_under_a_tolerance():
+    A = from_rows([[math.inf, 1.0], [0.0, -math.inf]], FLOAT64)
+    for rtol in (None, 1e-3):
+        assert eq_within(A, A, rtol) and equivalent(A, A, rtol)
+        assert equivalent(lift(A, 2), A, rtol) and canonicalize(lift(A, 3), rtol).rep == A
+    nan = from_rows([[math.nan, 1.0]], FLOAT64)
+    assert not equivalent(nan, nan) and not eq_within(nan, nan, 1e-3)
 
 
 def test_infinity_equals_no_finite_value_under_a_tolerance():
