@@ -96,9 +96,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require_finite(values, kind: str) -> None:
+    """Refuse a float result holding NaN or an infinity, which JSON and CSV cannot write."""
+    if kind == FLOAT64 and not all(map(math.isfinite, values)):
+        raise ValueError("result has a NaN or infinite value, which JSON and CSV output refuse")
+
+
 def _emit_matrix(A: Matrix, args) -> None:
-    if A.scalar == FLOAT64 and not all(map(math.isfinite, A.data)):
-        raise ValueError("result has a NaN or infinite entry, which JSON and CSV output refuse")
+    _require_finite(A.data, A.scalar)
     text = sio.matrix_to_csv(A) if args.format == "csv" else sio.dump_json(sio.matrix_to_dict(A))
     _emit(text, args.out)
 
@@ -190,9 +195,12 @@ def _run(args) -> None:
     elif verb in ("bracket", "inner", "dist"):
         x, y = (_to_class(_load_matrix(m, args.scalar), tol) for m in (args.a, args.b))
         if verb == "bracket":
-            result = sio.class_to_dict(lie_bracket(x, y, tol))
+            z = lie_bracket(x, y, tol)
+            values, result = z.rep.data, sio.class_to_dict(z)
         else:
-            result = _scalar_json(inner(x, y) if verb == "inner" else dist(x, y, tol))
+            v = inner(x, y) if verb == "inner" else dist(x, y, tol)
+            values, result = (v,), _scalar_json(v)
+        _require_finite(values, x.scalar)
         _emit(sio.dump_json(result), args.out)
     elif verb == "canon":
         x = _to_class(_load_matrix(args.a, args.scalar), tol)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, count
 from math import gcd
 
-from .matrix import RATIONAL, Matrix, eq_within, scalar_eq, scale, zeros
+from .matrix import RATIONAL, Matrix, _denominator, _numerator, eq_within, scalar_eq, scale, zeros
 from .stp import _commutator, lminus, lplus, ltimes, ratio_of
 
 
@@ -34,31 +35,62 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _root(A: Matrix, g: int) -> Matrix:
+    """B with A = B x I_s for the largest s dividing g, under exact comparison.
+
+    Every such s divides S = gcd(g, r - c over A's nonzeros (r, c)); one lazy
+    scan (numerators, or float truth) finds them and ends if S reaches 1. S
+    is tried, then the largest passing power of each prime of S. At s every
+    nonzero equals its s x s block's corner (integer parts, or float ==, so
+    NaN never does), and the nonzeros number s per nonzero corner.
+    """
+    data, cols = A.data, A.cols
+    S, nz = g, []
+    for i in compress(count(), map(_numerator, data) if A.scalar == RATIONAL else data):
+        nz.append(i)
+        if (S := gcd(S, i // cols - i % cols)) == 1:
+            return A
+    got = [data[i] for i in nz]
+    reads = (_numerator, _denominator) if A.scalar == RATIONAL else (float,)
+
+    def passes(s):
+        corners = [i - i % cols % s * (cols + 1) for i in nz]
+        want = [data[i] for i in corners]
+        return len(nz) == s * len(set(corners)) and all(
+            all(map(operator.eq, map(f, got), map(f, want))) for f in reads)
+
+    s = S if passes(S) else 1
+    for p in _prime_factors(S // s):
+        while S % (q := s * p) == 0 and q < S and passes(q):
+            s = q
+    if s == 1:
+        return A
+    rows = (data[i * cols : (i + 1) * cols : s] for i in range(0, A.rows, s))
+    return Matrix(A.rows // s, cols // s, tuple(chain.from_iterable(rows)), A.scalar)
+
+
 def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
     """If A = B x I_s, return B; otherwise None.
 
     Viewing A as an (m/s) x (n/s) grid of s x s blocks, the factorization
     holds iff every block is a scalar multiple of I_s. rtol applies only
-    in float mode; rtol=0 forces exact float comparison.
-
-    A block row is checked a row at a time: row i*s + a must be zero at
-    every column off its stride (checked first, so a dense non-lift fails
-    at its first entry), and must repeat row i*s's entries at columns
-    0, s, 2s, ... at columns a, a + s, .... Exact mode compares whole
-    slices; float mode compares entry by entry through ``scalar_eq``, so
-    NaN never matches itself.
+    in float mode; rtol=0 forces exact float comparison, under which this
+    is ``canonicalize``'s level search over the divisors of s. Under a
+    tolerance, through ``scalar_eq``, each row i*s + a must be zero off its
+    stride (checked first, so a dense non-lift fails at once) and repeat
+    row i*s's columns 0, s, ... at columns a, a + s, ....
     """
     if s < 2 or A.rows % s or A.cols % s:
         return None
     kind = A.scalar
-    if kind == RATIONAL:
-        nonzero, differ = any, operator.ne
-    else:
-        def nonzero(got):
-            return not all(scalar_eq(v, 0.0, kind, rtol) for v in got)
+    if kind == RATIONAL or rtol == 0.0:
+        return B if (B := _root(A, s)).rows * s == A.rows else None
 
-        def differ(got, want):
-            return not all(scalar_eq(v, w, kind, rtol) for v, w in zip(got, want))
+    def nonzero(got):
+        return not all(scalar_eq(v, 0.0, kind, rtol) for v in got)
+
+    def differ(got, want):
+        return not all(scalar_eq(v, w, kind, rtol) for v, w in zip(got, want))
 
     vals = []
     for i in range(A.rows // s):
@@ -100,14 +132,16 @@ class MatrixClass:
 
 
 def canonicalize(A: Matrix, rtol: float | None = None) -> MatrixClass:
-    """Class of A: peel identity factors until irreducible.
+    """Class of A: A with its identity factors removed.
 
-    One ascending pass over the primes of gcd(rows, cols) peels each while
-    ``try_unkron`` succeeds. Under exact comparison (exact mode, or rtol=0)
-    a prime that fails once never passes later: the result is the unique
-    irreducible representative. A float tolerance is not transitive, so
-    there the level is the one this pass reaches; no prime is retried.
+    Under exact comparison (exact mode, or rtol=0) the representative is
+    unique: one scan of A's nonzeros finds the level, and the corners of
+    A's blocks at that level are gathered once. A float tolerance is not
+    transitive: there one ascending pass over the primes of gcd(rows, cols)
+    peels each while ``try_unkron`` succeeds, and no prime is retried.
     """
+    if A.scalar == RATIONAL or rtol == 0.0:
+        return MatrixClass(ratio_of(A), _root(A, gcd(A.rows, A.cols)))
     rep = A
     for p in _prime_factors(gcd(A.rows, A.cols)):
         while (peeled := try_unkron(rep, p, rtol)) is not None:
@@ -145,7 +179,7 @@ def class_sub(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> Matr
 
 def scalar_mul(c, x: MatrixClass, rtol: float | None = None) -> MatrixClass:
     # c != 0 keeps the representative irreducible; c = 0 collapses to the
-    # zero class, which canonicalize handles by peeling all the way down.
+    # zero class, whose level is gcd(rows, cols): it has no nonzero to scan.
     return canonicalize(scale(c, x.rep), rtol)
 
 

@@ -221,6 +221,13 @@ def test_overflowed_result_is_domain_error(capsys):
     pytest.param(("--scalar", "float64", "--format", "csv", "sta", "--minus", "--right",
                   "[[1e308]]", "[[-1e308]]"), None, 1, "domain",
                  id="csv_sta_minus_right_overflow"),
+    # a non-finite scalar or class result: the same message, not json's own
+    pytest.param(("--scalar", "float64", "dist", "[[1e308]]", "[[-1e308]]"), None, 1, "domain",
+                 id="dist_overflow"),
+    pytest.param(("--scalar", "float64", "inner", "[[1e200]]", "[[1e200]]"), None, 1, "domain",
+                 id="inner_overflow"),
+    pytest.param(("--scalar", "float64", "bracket", "[[1e200,1e200],[0,1]]",
+                  "[[1e200,0],[1e200,1]]"), None, 1, "domain", id="bracket_nan"),
     # only stp and sta print a matrix: CSV is refused for every other verb
     pytest.param(("--format", "csv", "canon", "[[1,2],[3,4]]"), None, 2, "parse", id="csv_canon"),
     pytest.param(("--format", "csv", "inner", "[1]", "[[1]]"), None, 2, "parse", id="csv_inner"),
@@ -235,6 +242,7 @@ def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, e
     assert (code, out) == (status, "")
     lines = err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+    assert "not JSON compliant" not in json.loads(lines[0])["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -120,6 +120,19 @@ def test_allocation_footprints():
         assert fast_alloc == out_elems  # the output is the only allocation
 
 
+def test_canonicalize_builds_only_its_representative():
+    rng = random.Random(97)
+    lifted = rand_matrix(rng, 6, 6)
+    L = kron(lifted, identity(30))
+    dense = from_rows([[Fraction(rng.randint(1, 9), rng.randint(1, 97)) for _ in range(6)]
+                       for _ in range(6)])
+    # the representative is the only matrix built; an irreducible A is returned as it is
+    for A, entries in ((L, 36), (semitensor.matrix.zeros(60, 60), 1), (dense, 0)):
+        built, x = _alloc_during(canonicalize, A)
+        assert built == entries
+        assert (x.rep is A) == (entries == 0)
+
+
 @pytest.mark.parametrize("n, p", [(4, 9), (8, 9)])
 def test_lift_free_allocation_at_coprime_sizes(n, p):
     rng = random.Random(89 + n)

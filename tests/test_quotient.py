@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -104,10 +105,71 @@ def _canon_cases(rng, kind):
 
 @pytest.mark.parametrize("kind, rtol", [(RATIONAL, None), (FLOAT64, 0.0)])
 def test_ascending_pass_matches_restarted_peels(kind, rtol):
-    # under exact comparison a prime that fails once never passes later, so
-    # one ascending pass finds the restart loop's representative bit for bit
+    # under exact comparison the representative is unique, so the level one
+    # scan finds gives the restart loop's representative bit for bit
     for A in _canon_cases(random.Random(17), kind):
         assert repr(canonicalize(A, rtol).rep) == repr(ref_canonicalize(A, rtol)), A
+
+
+def _level_cases(rng, kind):
+    """Inputs for the one-pass level: lifts at composite levels of random
+    matrices of ratios 1, 1/2 and 2/3, each also with one entry changed;
+    sparse and zero inputs; inputs whose gcd of rows, cols and r - c over
+    the nonzeros exceeds their level; and in float mode a NaN corner, a
+    -0.0 beside a 0.0, and infinities."""
+    zero = Fraction(0) if kind == RATIONAL else 0.0
+    if kind == FLOAT64:
+        pool = (0.0, -0.0, 1.0, 0.5, -2.5, math.inf, -math.inf, math.nan)
+
+        def value():
+            return rng.choice(pool + (rng.uniform(-4, 4),) * 4)
+    else:
+        def value():
+            return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 97, 9967, 9973)))
+
+    def matrix(m, n, data):
+        return Matrix(m, n, tuple(data), kind)
+
+    for (m, n), s in product(((1, 1), (2, 2), (1, 2), (2, 3)), (4, 6, 12, 30)):
+        A = matrix(m, n, (value() if rng.random() < 0.7 else zero for _ in range(m * n)))
+        L = lift(A, s)
+        yield L
+        data = list(L.data)
+        data[rng.randrange(len(data))] = value()
+        yield matrix(L.rows, L.cols, data)
+        unit = [zero] * (m * n)
+        unit[rng.randrange(m * n)] = value()
+        yield lift(matrix(m, n, unit), s)
+    one, two = (Fraction(1), Fraction(2)) if kind == RATIONAL else (1.0, 2.0)
+    diag = matrix(4, 4, (d if i == j else zero for i, d in enumerate((one, one, two, two))
+                         for j in range(4)))
+    yield diag  # the gcd is 4, the level 2
+    yield lift(diag, 3)  # 12 and 6
+    unit = [zero] * 16
+    unit[5] = one
+    yield lift(matrix(4, 4, unit), 5)  # 20 and 5
+    for m, n in ((12, 8), (6, 9), (20, 20), (7, 5)):
+        yield matrix(m, n, [zero] * (m * n))
+    if kind == FLOAT64:
+        yield lift(matrix(2, 2, (math.nan, 1.0, 0.0, 2.0)), 2)  # a NaN corner
+        signed = list(lift(matrix(2, 2, (0.0, 1.0, -0.0, 2.0)), 4).data)
+        signed[3 * 8 + 3] = -0.0  # beside 0.0 on the diagonal of a zero block
+        yield matrix(8, 8, signed)
+        yield lift(matrix(1, 2, (math.inf, -math.inf)), 6)
+
+
+@pytest.mark.parametrize("kind, rtol", [(RATIONAL, None), (FLOAT64, 0.0)])
+def test_one_pass_level_matches_the_references(kind, rtol):
+    # canonicalize against the restart loop, and try_unkron at composite s
+    # against the entry-by-entry check, compared by repr (NaN, -0.0)
+    reducible = 0
+    for A in _level_cases(random.Random(23), kind):
+        got = canonicalize(A, rtol).rep
+        assert repr(got) == repr(ref_canonicalize(A, rtol)), A
+        reducible += got.rows < A.rows
+        for s in (4, 6, 12):
+            assert repr(try_unkron(A, s, rtol)) == repr(ref_try_unkron(A, s, rtol)), (A, s)
+    assert reducible >= 35
 
 
 def test_float_level_is_the_ascending_pass():
