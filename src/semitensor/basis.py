@@ -81,6 +81,8 @@ class Coordinates:
     terms: dict[BasisElement, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.mu <= 0:
+            raise ValueError(f"ratio must be positive, got {self.mu}")
         if any(type(c) is not Fraction for c in self.terms.values()):
             self.terms = {e: as_scalar(c, RATIONAL) for e, c in self.terms.items()}
         for e, c in self.terms.items():

@@ -30,6 +30,7 @@ Scalar = Union[Fraction, float]
 # read from Fraction's own slots in C (its properties are Python functions).
 _KIND_TYPES = {RATIONAL: Fraction, FLOAT64: float}
 _numerator, _denominator = attrgetter("_numerator"), attrgetter("_denominator")
+_parts = attrgetter("_numerator", "_denominator")
 
 # Largest matrix, in entries, that an operation or constructor allocates.
 # Checked before any allocation; a bigger result raises ValueError (a

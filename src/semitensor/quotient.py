@@ -10,13 +10,12 @@ the semi-tensor operations.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd
 
-from .matrix import RATIONAL, Matrix, _denominator, _numerator, eq_within, scalar_eq, scale, zeros
+from .matrix import RATIONAL, Matrix, _numerator, _parts, eq_within, scalar_eq, scale, zeros
 from .stp import _commutator, lminus, lplus, ltimes, ratio_of
 
 
@@ -35,38 +34,39 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _corners(A: Matrix, s: int) -> Matrix:
+    """The corners of A's s x s blocks: B, if A = B x I_s."""
+    cols = A.cols
+    rows = (A.data[i * cols : (i + 1) * cols : s] for i in range(0, A.rows, s))
+    return Matrix(A.rows // s, cols // s, tuple(chain.from_iterable(rows)), A.scalar)
+
+
 def _root(A: Matrix, g: int) -> Matrix:
     """B with A = B x I_s for the largest s dividing g, under exact comparison.
 
-    Every such s divides S = gcd(g, r - c over A's nonzeros (r, c)); one lazy
-    scan (numerators, or float truth) finds them and ends if S reaches 1. S
-    is tried, then the largest passing power of each prime of S. At s every
-    nonzero equals its s x s block's corner (integer parts, or float ==, so
-    NaN never does), and the nonzeros number s per nonzero corner.
+    Along each diagonal A's nonzeros fall into runs of equal entries, and
+    A = B x I_s iff s divides g, the row and column where each run starts
+    and the row past where it ends: the level is one gcd, folded over a
+    lazy scan of the nonzeros (numerators, or float truth) that returns A
+    once it is 1. A run starts at (r, c) where (r-1, c-1) is off A or holds
+    another value (integer parts, or float !=, so NaN is a run of its own)
+    and ends where (r+1, c+1) is a zero; where that is off A, s | g and the
+    start give s | r+1. B is the corners.
     """
-    data, cols = A.data, A.cols
-    S, nz = g, []
-    for i in compress(count(), map(_numerator, data) if A.scalar == RATIONAL else data):
-        nz.append(i)
-        if (S := gcd(S, i // cols - i % cols)) == 1:
+    data, rows, cols = A.data, A.rows, A.cols
+    exact = A.scalar == RATIONAL
+    num, key = (_numerator, _parts) if exact else (float, float)
+    s = g
+    for i in compress(count(), map(num, data) if exact else data):
+        r, c = divmod(i, cols)
+        v = key(data[i])
+        if not (r and c) or key(data[i - cols - 1]) != v:
+            s = gcd(s, r, c)
+        if r + 1 < rows and c + 1 < cols and not num(data[i + cols + 1]):
+            s = gcd(s, r + 1)
+        if s == 1:
             return A
-    got = [data[i] for i in nz]
-    reads = (_numerator, _denominator) if A.scalar == RATIONAL else (float,)
-
-    def passes(s):
-        corners = [i - i % cols % s * (cols + 1) for i in nz]
-        want = [data[i] for i in corners]
-        return len(nz) == s * len(set(corners)) and all(
-            all(map(operator.eq, map(f, got), map(f, want))) for f in reads)
-
-    s = S if passes(S) else 1
-    for p in _prime_factors(S // s):
-        while S % (q := s * p) == 0 and q < S and passes(q):
-            s = q
-    if s == 1:
-        return A
-    rows = (data[i * cols : (i + 1) * cols : s] for i in range(0, A.rows, s))
-    return Matrix(A.rows // s, cols // s, tuple(chain.from_iterable(rows)), A.scalar)
+    return A if s == 1 else _corners(A, s)
 
 
 def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
@@ -75,7 +75,7 @@ def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
     Viewing A as an (m/s) x (n/s) grid of s x s blocks, the factorization
     holds iff every block is a scalar multiple of I_s. rtol applies only
     in float mode; rtol=0 forces exact float comparison, under which this
-    is ``canonicalize``'s level search over the divisors of s. Under a
+    takes ``canonicalize``'s gcd from s and holds iff that is s. Under a
     tolerance, through ``scalar_eq``, each row i*s + a must be zero off its
     stride (checked first, so a dense non-lift fails at once) and repeat
     row i*s's columns 0, s, ... at columns a, a + s, ....
@@ -92,15 +92,13 @@ def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
     def differ(got, want):
         return not all(scalar_eq(v, w, kind, rtol) for v, w in zip(got, want))
 
-    vals = []
     for i in range(A.rows // s):
         diag = A.row(i * s)[::s]
         for a in range(s):
             row = A.row(i * s + a)
             if any(nonzero(row[b::s]) for b in range(s) if b != a) or differ(row[a::s], diag):
                 return None
-        vals += diag
-    return Matrix(A.rows // s, A.cols // s, tuple(vals), kind)
+    return _corners(A, s)
 
 
 @dataclass(frozen=True)
@@ -135,10 +133,10 @@ def canonicalize(A: Matrix, rtol: float | None = None) -> MatrixClass:
     """Class of A: A with its identity factors removed.
 
     Under exact comparison (exact mode, or rtol=0) the representative is
-    unique: one scan of A's nonzeros finds the level, and the corners of
-    A's blocks at that level are gathered once. A float tolerance is not
-    transitive: there one ascending pass over the primes of gcd(rows, cols)
-    peels each while ``try_unkron`` succeeds, and no prime is retried.
+    unique: its level is one gcd (``_root``), and it is A's block corners.
+    A float tolerance is not transitive: there one ascending pass over the
+    primes of gcd(rows, cols) peels each while ``try_unkron`` succeeds,
+    and no prime is retried.
     """
     if A.scalar == RATIONAL or rtol == 0.0:
         return MatrixClass(ratio_of(A), _root(A, gcd(A.rows, A.cols)))

@@ -166,6 +166,7 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
     two nonzero entries meet. Every exact zero it stores is one object,
     so that test is by identity.
     """
+    _require_same_ratio(A, B)
     _require_same_kind(A, B)
     t = lcm(A.rows, B.rows)
     cols = t * A.cols // A.rows
@@ -205,23 +206,19 @@ def _require_same_ratio(A: Matrix, B: Matrix) -> None:
 
 def lplus(A: Matrix, B: Matrix) -> Matrix:
     """Left semi-tensor addition (A x I_{t/m}) + (B x I_{t/p}), t = lcm(m, p)."""
-    _require_same_ratio(A, B)
     return _sum_lifts(A, B)
 
 
 def lminus(A: Matrix, B: Matrix) -> Matrix:
     """Left semi-tensor difference, lplus(A, -B) without building -B."""
-    _require_same_ratio(A, B)
     return _sum_lifts(A, B, subtract=True)
 
 
 def rplus(A: Matrix, B: Matrix) -> Matrix:
     """Right semi-tensor addition (I_{t/m} x A) + (I_{t/p} x B)."""
-    _require_same_ratio(A, B)
     return _sum_lifts(A, B, right=True)
 
 
 def rminus(A: Matrix, B: Matrix) -> Matrix:
     """Right semi-tensor difference, rplus(A, -B) without building -B."""
-    _require_same_ratio(A, B)
     return _sum_lifts(A, B, right=True, subtract=True)

@@ -430,6 +430,9 @@ def test_coordinates_validation():
         Coordinates(Fraction(1), {e: Fraction(0)})
     with pytest.raises(ValueError):
         Coordinates(Fraction(1, 2), {e: Fraction(1)})
+    for mu in (Fraction(0), Fraction(-1, 2)):  # even with no term to check it
+        with pytest.raises(ValueError, match="ratio must be positive"):
+            Coordinates(mu, {})
 
 
 def test_coordinates_coerce_coefficients():

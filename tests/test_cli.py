@@ -185,13 +185,19 @@ def test_overflowed_result_is_domain_error(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
-@pytest.mark.parametrize("argv, term, status, error", [
+def _one_term(mu="1", **fields):
+    """A coordinates file holding one term, the unit (1, 1; 1, 1) with ``fields`` over it."""
+    term = {"kind": "D", "k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1, **fields}
+    return {"mu": mu, "terms": [term]}
+
+
+@pytest.mark.parametrize("argv, coords, status, error", [
     pytest.param(("--scalar", "float64", "inner", "[[1e154,1e154,1e154]]",
                   "[[1.5e154,1.5e154,-1.5e154]]"), None, 1, "domain", id="fsum_overflow"),
     pytest.param(("dist", "[[1" + "0" * 200 + "]]", "[[0]]"), None, 1, "domain",
                  id="exact_norm_overflow"),
-    pytest.param(("reconstruct",), {"coeff": "1/0"}, 2, "parse", id="zero_denominator"),
-    pytest.param(("reconstruct",), {}, 2, "parse", id="missing_coeff"),
+    pytest.param(("reconstruct",), _one_term(coeff="1/0"), 2, "parse", id="zero_denominator"),
+    pytest.param(("reconstruct",), _one_term(), 2, "parse", id="missing_coeff"),
     pytest.param(("basis-list", "--mu", "0", "--imax", "2"), None, 1, "domain", id="zero_mu"),
     pytest.param(("basis-list", "--mu=-1/2", "--imax", "2"), None, 1, "domain",
                  id="negative_mu"),
@@ -200,16 +206,16 @@ def test_overflowed_result_is_domain_error(capsys):
     pytest.param(("--scalar", "float64", "decompose", "[[1]]"), None, 1, "domain",
                  id="float_decompose"),
     pytest.param(("--out", ".", "canon", "[[1]]"), None, 2, "parse", id="out_is_a_directory"),
-    pytest.param(("reconstruct",), {"coeff": 0.1}, 2, "parse", id="float_coeff"),
-    pytest.param(("reconstruct",), {"coeff": "1", "i": 1.9}, 2, "parse", id="float_index"),
+    pytest.param(("reconstruct",), _one_term(coeff=0.1), 2, "parse", id="float_coeff"),
+    pytest.param(("reconstruct",), _one_term(coeff="1", i=1.9), 2, "parse", id="float_index"),
     pytest.param(("basis-list", "--mu", "1", "--imax", "10000"), None, 1, "domain",
                  id="oversized_basis_list"),
-    pytest.param(("reconstruct",), {"coeff": "1", "i": 10**5}, 1, "domain",
+    pytest.param(("reconstruct",), _one_term(coeff="1", i=10**5), 1, "domain",
                  id="oversized_reconstruct"),
     pytest.param(("stp", "[[false, 2]]", "[[1]]"), None, 2, "parse", id="boolean_entry"),
     pytest.param(("--scalar", "float64", "inner", "[[true]]", "[[true]]"), None, 2, "parse",
                  id="boolean_float_entry"),
-    pytest.param(("reconstruct",), {"k": True, "coeff": True}, 2, "parse",
+    pytest.param(("reconstruct",), _one_term(k=True, coeff=True), 2, "parse",
                  id="boolean_term"),
     # a non-finite float result: CSV refuses it as JSON does
     pytest.param(("--scalar", "float64", "--format", "csv", "stp", "[[1e300]]", "[[1e300]]"),
@@ -231,12 +237,16 @@ def test_overflowed_result_is_domain_error(capsys):
     # only stp and sta print a matrix: CSV is refused for every other verb
     pytest.param(("--format", "csv", "canon", "[[1,2],[3,4]]"), None, 2, "parse", id="csv_canon"),
     pytest.param(("--format", "csv", "inner", "[1]", "[[1]]"), None, 2, "parse", id="csv_inner"),
+    # a ratio that is not positive: refused as reading the file, with or without terms
+    pytest.param(("reconstruct",), {"mu": "0", "terms": []}, 2, "parse", id="zero_mu_coords"),
+    pytest.param(("reconstruct",), {"mu": "-1/2", "terms": []}, 2, "parse",
+                 id="negative_mu_coords"),
+    pytest.param(("reconstruct",), _one_term(mu="0"), 2, "parse", id="zero_mu_coords_term"),
 ])
-def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, term, status, error):
-    if term is not None:
+def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, coords, status, error):
+    if coords is not None:
         path = tmp_path / "coords.json"
-        full = {"kind": "D", "k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1, **term}
-        path.write_text(json.dumps({"mu": "1", "terms": [full]}))
+        path.write_text(json.dumps(coords))
         argv += (str(path),)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (status, "")

@@ -22,7 +22,7 @@ from semitensor import (
     to_rational,
     zeros,
 )
-from semitensor.matrix import _denominator, _numerator, as_scalar
+from semitensor.matrix import _denominator, _numerator, _parts, as_scalar
 
 
 def test_kron_identity_left_and_right():
@@ -217,5 +217,5 @@ def test_slot_getters_read_the_integer_parts():
         as_scalar(" 0/7 ", RATIONAL), _Half(-3, 6),
     )
     for v in Matrix(1, len(values), values).data:
-        assert (_numerator(v), _denominator(v)) == (v.numerator, v.denominator), v
+        assert (_numerator(v), _denominator(v)) == _parts(v) == (v.numerator, v.denominator), v
         assert type(_numerator(v)) is int and type(_denominator(v)) is int

@@ -115,8 +115,10 @@ def _level_cases(rng, kind):
     """Inputs for the one-pass level: lifts at composite levels of random
     matrices of ratios 1, 1/2 and 2/3, each also with one entry changed;
     sparse and zero inputs; inputs whose gcd of rows, cols and r - c over
-    the nonzeros exceeds their level; and in float mode a NaN corner, a
-    -0.0 beside a 0.0, and infinities."""
+    the nonzeros exceeds their level; in float mode a NaN corner, a -0.0
+    beside a 0.0, and infinities; then lifts whose diagonal runs are
+    zeroed, cut or changed mid-block, diag(1, 1, 1, 2, 2, 2) (gcd 6,
+    level 3), lone nonzeros on the edges and a 1 x 3 zero matrix."""
     zero = Fraction(0) if kind == RATIONAL else 0.0
     if kind == FLOAT64:
         pool = (0.0, -0.0, 1.0, 0.5, -2.5, math.inf, -math.inf, math.nan)
@@ -156,6 +158,26 @@ def _level_cases(rng, kind):
         signed[3 * 8 + 3] = -0.0  # beside 0.0 on the diagonal of a zero block
         yield matrix(8, 8, signed)
         yield lift(matrix(1, 2, (math.inf, -math.inf)), 6)
+    # Run boundaries: a lift with one on-stride entry zeroed, one block's
+    # diagonal begun or ended mid-block, and its value changed mid-run.
+    for (m, n), s in product(((1, 1), (2, 2), (2, 3)), (2, 6, 12)):
+        L = lift(matrix(m, n, (value() for _ in range(m * n))), s)
+        i, j, a = rng.randrange(m), rng.randrange(n), rng.randrange(1, s)
+        run = [(i * s + d) * L.cols + j * s + d for d in range(s)]
+        zeroed, cut, changed = (list(L.data) for _ in range(3))
+        zeroed[rng.choice(run)] = zero
+        v = value()
+        for k in run[:a] if rng.random() < 0.5 else run[a:]:
+            cut[k] = zero
+        for k in run[a:]:
+            changed[k] = v
+        for data in (zeroed, cut, changed):
+            yield matrix(L.rows, L.cols, data)
+    six = (one,) * 3 + (two,) * 3
+    yield matrix(6, 6, (d if i == j else zero for i, d in enumerate(six) for j in range(6)))
+    for r, c in ((0, 3), (3, 0), (5, 2), (2, 5), (5, 5)):  # a lone nonzero on an edge
+        yield matrix(6, 6, (one if k == r * 6 + c else zero for k in range(36)))
+    yield matrix(1, 3, (zero,) * 3)  # no level to search: A itself
 
 
 @pytest.mark.parametrize("kind, rtol", [(RATIONAL, None), (FLOAT64, 0.0)])
@@ -166,8 +188,9 @@ def test_one_pass_level_matches_the_references(kind, rtol):
     for A in _level_cases(random.Random(23), kind):
         got = canonicalize(A, rtol).rep
         assert repr(got) == repr(ref_canonicalize(A, rtol)), A
+        assert (got is A) == (got.rows == A.rows), A  # irreducible: A itself
         reducible += got.rows < A.rows
-        for s in (4, 6, 12):
+        for s in (2, 3, 4, 6, 12):
             assert repr(try_unkron(A, s, rtol)) == repr(ref_try_unkron(A, s, rtol)), (A, s)
     assert reducible >= 35
 
