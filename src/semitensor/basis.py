@@ -37,9 +37,9 @@ _MAX_ELEMENTS = 5 * 10**5
 class BasisElement:
     """Index tuple naming the class of E(p x q; k, l) x E(i x i; j1, j2).
 
-    All indices are 1-based. mu = p/q must be reduced (Fraction enforces
-    this); k <= p, l <= q, and j1, j2 <= i with gcd(i, j1, j2) = 1. An
-    off-diagonal element (j1 != j2) therefore has i >= 2.
+    All indices are 1-based. mu = p/q is positive and reduced (Fraction
+    reduces it); k <= p, l <= q, and j1, j2 <= i with gcd(i, j1, j2) = 1.
+    An off-diagonal element (j1 != j2) therefore has i >= 2.
     """
 
     mu: Fraction
@@ -51,6 +51,8 @@ class BasisElement:
 
     def __post_init__(self):
         p, q = self.mu.numerator, self.mu.denominator
+        if p <= 0:
+            raise ValueError(f"ratio must be positive, got {self.mu}")
         if not (1 <= self.k <= p and 1 <= self.l <= q):
             raise ValueError(f"(k, l)=({self.k},{self.l}) outside {p}x{q}")
         if not (1 <= self.j1 <= self.i and 1 <= self.j2 <= self.i):

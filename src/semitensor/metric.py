@@ -20,9 +20,12 @@ a Cauchy sequence while the sequence escapes every candidate limit.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import mul
 
 from .matrix import FLOAT64, Matrix, _check_budget, _require_same_kind
 from .quotient import MatrixClass, _require_same_mu, canonicalize, class_sub
@@ -39,11 +42,13 @@ def inner(x: MatrixClass, y: MatrixClass):
     The lift factors sx and sy are coprime, so entry (i, j) of X meets Y
     only if i = j (mod sy), at the lifted positions (i*sx + d, j*sx + d),
     d < sx. Each lifted row therefore pairs two strided slices, one of
-    X's row and one of Y's. Products of nonzero entries stream in
-    row-major lifted order through one generator, each representative
-    read by ``stp._integers``: float mode sums them with ``math.fsum``
-    (whose overflow depends on that order); exact mode sums the integer
-    products and divides by the two common denominators once.
+    X's row and one of Y's, each read by ``stp._integers``. The pairing
+    sums the products of nonzero entries in row-major lifted order (on
+    which fsum's overflow depends), so an inf or NaN facing a zero adds
+    nothing. Exact mode sums integers over both denominators once. Float
+    mode takes one ``math.fsum`` of every product, since a ±0.0 term
+    leaves its exact partials as they are, and redoes the sum over the
+    nonzero pairs only if it is NaN or raises.
     """
     _require_same_mu(x, y)
     _require_same_kind(x.rep, y.rep)
@@ -64,7 +69,13 @@ def inner(x: MatrixClass, y: MatrixClass):
                 yield a, ys[y_row + (j0 * sx + d) // sy : y_row + Y.cols : sx]
 
     products = (v * w for a, b in lifted_rows() for v, w in zip(a, b) if v and w)
-    return math.fsum(products) if X.scalar == FLOAT64 else Fraction(sum(products), dx * dy)
+    if X.scalar != FLOAT64:
+        return Fraction(sum(products), dx * dy)
+    with suppress(OverflowError, ValueError):
+        total = math.fsum(chain.from_iterable(map(mul, a, b) for a, b in lifted_rows()))
+        if not math.isnan(total):
+            return total
+    return math.fsum(products)
 
 
 def norm(x: MatrixClass) -> float:

@@ -10,9 +10,10 @@ says where row i of X lands in X x I_s or I_s x X, as one slice of
 each of s lifted rows (columns d, d + s, ... of row i*s + d on the
 left; columns b*n ... b*n + n - 1 of row b*m + i on the right). Sums
 and differences add each nonzero row into its slices in one step
-apiece, and ``basis.reconstruct`` places each basis unit's one entry
-by the same slices; the products read both lifts a lifted row at a
-time through ``_lifted_rows``, which reads the same slices. The Cauchy
+apiece (an unlifted operand as one row of all its entries, s = 1), and
+``basis.reconstruct`` places each basis unit's one entry by the same
+slices; the products read both lifts a lifted row at a time through
+``_lifted_rows``, which reads the same slices. The Cauchy
 experiment in the metric module builds its lifts by the same rule, and
 the pairing there reads both lifts as strided row slices. Everything
 allocates only its result. Exact mode agrees bit for bit with the
@@ -156,15 +157,16 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
 
     If ``subtract``, B is subtracted instead, so a difference builds no
     negated copy. Each nonzero row of an operand goes into every slice
-    of the result it lifts to, one slice at a time.
+    of the result it lifts to, one slice at a time; an operand of t rows
+    is not lifted, and goes in as one row of all its entries, one slice.
 
     Float mode adds (or subtracts) every entry of such a row to an
     accumulator that starts at 0.0, so a cell holds 0.0 where the sum of
-    the full lifts has -0.0. Exact mode stores A's rows as they are
-    (their slices never overlap) and then B's entries, each as it is
-    where A's lift holds a zero: a Fraction addition happens only where
-    two nonzero entries meet. Every exact zero it stores is one object,
-    so that test is by identity.
+    the full lifts has -0.0, and a ±0.0 entry changes no cell. Exact mode
+    stores A's rows as they are (their slices never overlap) and then B's
+    entries, each as it is where A's lift holds a zero: a Fraction
+    addition happens only where two nonzero entries meet. Every exact
+    zero it stores is one object, so that test is by identity.
     """
     _require_same_ratio(A, B)
     _require_same_kind(A, B)
@@ -184,13 +186,14 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
             plus = first_or_sum if n else None
         else:
             plus = operator.sub if negate else operator.add
-        for i in range(X.rows):
-            row = X.row(i)
+        rows, width = (1, t * cols) if X.rows == t else X.shape
+        for i in range(rows):
+            row = X.data[i * width : (i + 1) * width]
             if not any(row):
                 continue
             if exact:
                 row = [(-v if negate else v) if v else zero for v in row]
-            for sl in _row_slices(i, X.rows, X.cols, t // X.rows, right):
+            for sl in _row_slices(i, rows, width, t // X.rows, right):
                 acc[sl] = row if plus is None else map(plus, acc[sl], row)
     return Matrix(t, cols, tuple(acc), A.scalar)
 

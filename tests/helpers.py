@@ -186,6 +186,16 @@ def ref_inner(A: Matrix, B: Matrix):
     return frobenius_inner(lift(A, t // A.rows), lift(B, t // B.rows))
 
 
+def ref_inner_nonzero(A: Matrix, B: Matrix) -> float:
+    """Float pairing of two same-ratio matrices as the library defines it:
+    the fsum, in row-major order of the full lifts, of the products of the
+    pairs of nonzero entries, so an inf or NaN that faces a zero adds
+    nothing where ``ref_inner`` makes NaN."""
+    t = lcm(A.rows, B.rows)
+    X, Y = lift(A, t // A.rows), lift(B, t // B.rows)
+    return fsum(v * w for v, w in zip(X.data, Y.data) if v and w)
+
+
 def ref_delta_n(A: Matrix, n: int) -> Matrix:
     """Step n's fill of a float64 A: every exact zero (0.0 or -0.0)
     replaced by fill_value(n), every other entry kept."""

@@ -55,6 +55,9 @@ def test_basis_element_validation():
         BasisElement(Fraction(1), 2, 1, 1, 1, 1)  # k > p
     with pytest.raises(ValueError):
         BasisElement(Fraction(1), 1, 1, 2, 3, 1)  # j1 > i
+    for mu in (Fraction(0), Fraction(-1, 2)):  # the ratio first, not as an index range
+        with pytest.raises(ValueError, match=f"ratio must be positive, got {mu}$"):
+            BasisElement(mu, 1, 1, 1, 1, 1)
 
 
 def test_unit_class_examples():

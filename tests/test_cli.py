@@ -255,6 +255,16 @@ def test_failure_is_one_typed_error_line(capsys, tmp_path, argv, coords, status,
     assert "not JSON compliant" not in json.loads(lines[0])["message"]
 
 
+@pytest.mark.parametrize("mu", ["0", "-1/2"])
+def test_non_positive_ratio_is_refused_before_its_terms(capsys, tmp_path, mu):
+    # a term's index check would read the ratio's p x q as a shape first
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps(_one_term(mu=mu, coeff="1")))
+    code, out, err = run(capsys, "reconstruct", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"].endswith(f"ratio must be positive, got {mu}")
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param((), id="no_verb"),
     pytest.param(("stp", "[[1,2]]"), id="missing_operand"),

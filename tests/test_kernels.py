@@ -2,6 +2,7 @@
 bit equality, allocation footprints and the size budget."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
@@ -16,6 +17,7 @@ from helpers import (
     matmul,
     rand_matrix,
     ref_inner,
+    ref_inner_nonzero,
     ref_lminus,
     ref_lplus,
     ref_ltimes,
@@ -42,6 +44,7 @@ from semitensor import (
     lminus,
     lplus,
     ltimes,
+    norm,
     ratio_of,
     reconstruct,
     rminus,
@@ -195,6 +198,28 @@ def test_float_inner_skips_products_with_a_zero_factor():
     x, y = MatrixClass(ratio_of(X), X), MatrixClass(ratio_of(Y), Y)
     assert repr(inner(x, y)) == repr(inner(y, x)) == "8.0"
     assert math.isnan(ref_inner(X, Y))  # the full lifts do multiply inf by 0
+
+
+def test_float_inner_redoes_a_nan_sum_without_the_zero_products():
+    # X's 0.0 faces Y's inf. Summed with that NaN product, fsum starts its
+    # partials again after it and overflows on 1e308 + 1e308; without it,
+    # -1e308 + 1e308 + 1e308 is 1e308.
+    X = from_rows([[-1e308, 0.0, 1e308, 1e308]], FLOAT64)
+    Y = from_rows([[1.0, math.inf, 1.0, 1.0]], FLOAT64)
+    with pytest.raises(OverflowError):
+        math.fsum(map(operator.mul, X.data, Y.data))
+    x, y = MatrixClass(ratio_of(X), X), MatrixClass(ratio_of(Y), Y)
+    assert repr(inner(x, y)) == repr(inner(y, x)) == "1e+308"
+
+
+def test_float_inner_of_zero_products_is_positive_zero():
+    # every product is -0.0 (or 0.0 in the self-pairings): the sum is 0.0
+    X = from_rows([[-0.0, 1.0], [2.0, -0.0]], FLOAT64)
+    Y = from_rows([[3.0, -0.0], [-0.0, 4.0]], FLOAT64)
+    Z = from_rows([[-0.0, 0.0]], FLOAT64)
+    x, y, z = (MatrixClass(ratio_of(M), M) for M in (X, Y, Z))
+    assert repr(inner(x, y)) == repr(inner(y, x)) == "0.0"
+    assert repr(inner(z, z)) == repr(norm(z)) == "0.0"
 
 
 # --- adversarial denominators -------------------------------------------
@@ -392,10 +417,11 @@ def test_float_sums_with_nonfinite_cells():
 
 
 @st.composite
-def float_pairs_same_ratio(draw):
+def float_pairs_same_ratio(draw, entries=finite_floats):
     p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    return draw(float_matrices(s * p, s * q)), draw(float_matrices(t * p, t * q))
+    return (draw(float_matrices(s * p, s * q, entries)),
+            draw(float_matrices(t * p, t * q, entries)))
 
 
 @given(float_pairs_same_ratio())
@@ -403,6 +429,22 @@ def test_float_inner_matches_reference_bit_for_bit(pair):
     A, B = pair
     x, y = MatrixClass(ratio_of(A), A), MatrixClass(ratio_of(B), B)
     assert repr(inner(x, y)) == repr(ref_inner(A, B))
+
+
+def _outcome(f, *args):
+    # the value's repr, or the type of the error fsum raised
+    try:
+        return repr(f(*args))
+    except (OverflowError, ValueError) as e:
+        return type(e).__name__
+
+
+@given(float_pairs_same_ratio(any_floats))
+def test_float_inner_with_nonfinite_entries_matches_nonzero_reference(pair):
+    A, B = pair
+    x, y = MatrixClass(ratio_of(A), A), MatrixClass(ratio_of(B), B)
+    assert _outcome(inner, x, y) == _outcome(ref_inner_nonzero, A, B)
+    assert _outcome(inner, y, x) == _outcome(ref_inner_nonzero, B, A)
 
 
 @given(float_matrices(entries=nonzero_floats), st.integers(2, 4))
