@@ -111,7 +111,9 @@ def _emit_matrix(A: Matrix, args) -> None:
 def _to_class(A: Matrix, tol: float) -> MatrixClass:
     """Canonicalize a CLI input once, at tol. A float peel depended on the
     tolerance exactly when A is not rep x I_s exactly; only then is the
-    exact form computed, to word the error."""
+    exact form computed, to word the error. The exact level divides the
+    tolerant level s, so try_unkron(A, s, rtol=0.0) fails exactly when the
+    two shapes differ."""
     x = canonicalize(A, rtol=tol)
     s = A.rows // x.rep.rows
     if A.scalar == FLOAT64 and s > 1 and try_unkron(A, s, rtol=0.0) is None:

@@ -12,26 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, count
 from math import gcd
+from operator import eq
 
-from .matrix import RATIONAL, Matrix, _numerator, _parts, eq_within, scalar_eq, scale, zeros
+from .matrix import (
+    FLOAT64, RATIONAL, Matrix, _numerator, _parts, eq_within, scalar_eq, scale, zeros,
+)
 from .stp import _commutator, lminus, lplus, ltimes, ratio_of
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _corners(A: Matrix, s: int) -> Matrix:
@@ -41,28 +30,41 @@ def _corners(A: Matrix, s: int) -> Matrix:
     return Matrix(A.rows // s, cols // s, tuple(chain.from_iterable(rows)), A.scalar)
 
 
-def _root(A: Matrix, g: int) -> Matrix:
-    """B with A = B x I_s for the largest s dividing g, under exact comparison.
+def _root(A: Matrix, g: int, rtol: float | None = None) -> Matrix:
+    """B with A = B x I_s for the largest s dividing g: the canonical level.
 
-    Along each diagonal A's nonzeros fall into runs of equal entries, and
-    A = B x I_s iff s divides g, the row and column where each run starts
-    and the row past where it ends: the level is one gcd, folded over a
-    lazy scan of the nonzeros (numerators, or float truth) that returns A
-    once it is 1. A run starts at (r, c) where (r-1, c-1) is off A or holds
-    another value (integer parts, or float !=, so NaN is a run of its own)
-    and ends where (r+1, c+1) is a zero; where that is off A, s | g and the
-    start give s | r+1. B is the corners.
+    Along each diagonal A's nonzeros fall into runs, and A = B x I_s iff s
+    divides g, the row and column where each run starts and the row past
+    where it ends: the level is one gcd, folded over a lazy scan of the
+    nonzeros that returns A once it is 1. A nonzero is an entry other than
+    0 under exact comparison (numerators, or float truth at rtol=0) and an
+    entry not within rtol of 0 under a tolerance, so only entries other
+    than 0 are tested. A nonzero starts a run unless its up-left entry is
+    in one and it equals that run's first entry (integer parts, float ==,
+    so NaN is a run of its own, or within rtol); a run ends where the
+    down-right entry is a zero, and where that is off A, s | g and the
+    start give s | r+1. Under exact comparison every entry of a run equals
+    its first. B is the corners.
     """
     data, rows, cols = A.data, A.rows, A.cols
-    exact = A.scalar == RATIONAL
-    num, key = (_numerator, _parts) if exact else (float, float)
+    if A.scalar == RATIONAL:
+        nz, key, same, zero = compress(count(), map(_numerator, data)), _parts, eq, (0, 1)
+    elif rtol == 0.0:
+        nz, key, same, zero = compress(count(), data), float, eq, 0.0
+    else:
+        same = partial(scalar_eq, kind=FLOAT64, rtol=rtol)
+        nz, key, zero = (i for i in compress(count(), data) if not same(data[i], 0.0)), float, 0.0
+    firsts = {}  # c - r -> the first entry of the run open on that diagonal
     s = g
-    for i in compress(count(), map(num, data) if exact else data):
+    for i in nz:
         r, c = divmod(i, cols)
         v = key(data[i])
-        if not (r and c) or key(data[i - cols - 1]) != v:
+        first = firsts.get(c - r)
+        if first is None or not same(v, first):
+            firsts[c - r] = v
             s = gcd(s, r, c)
-        if r + 1 < rows and c + 1 < cols and not num(data[i + cols + 1]):
+        if r + 1 < rows and c + 1 < cols and same(key(data[i + cols + 1]), zero):
+            del firsts[c - r]
             s = gcd(s, r + 1)
         if s == 1:
             return A
@@ -74,31 +76,14 @@ def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
 
     Viewing A as an (m/s) x (n/s) grid of s x s blocks, the factorization
     holds iff every block is a scalar multiple of I_s. rtol applies only
-    in float mode; rtol=0 forces exact float comparison, under which this
-    takes ``canonicalize``'s gcd from s and holds iff that is s. Under a
-    tolerance, through ``scalar_eq``, each row i*s + a must be zero off its
-    stride (checked first, so a dense non-lift fails at once) and repeat
-    row i*s's columns 0, s, ... at columns a, a + s, ....
+    in float mode (rtol=0 forces exact float comparison). This takes
+    ``canonicalize``'s level rule from s and holds iff the level is s, so
+    under every comparison it holds exactly when s divides the level
+    ``canonicalize`` finds.
     """
     if s < 2 or A.rows % s or A.cols % s:
         return None
-    kind = A.scalar
-    if kind == RATIONAL or rtol == 0.0:
-        return B if (B := _root(A, s)).rows * s == A.rows else None
-
-    def nonzero(got):
-        return not all(scalar_eq(v, 0.0, kind, rtol) for v in got)
-
-    def differ(got, want):
-        return not all(scalar_eq(v, w, kind, rtol) for v, w in zip(got, want))
-
-    for i in range(A.rows // s):
-        diag = A.row(i * s)[::s]
-        for a in range(s):
-            row = A.row(i * s + a)
-            if any(nonzero(row[b::s]) for b in range(s) if b != a) or differ(row[a::s], diag):
-                return None
-    return _corners(A, s)
+    return B if (B := _root(A, s, rtol)).rows * s == A.rows else None
 
 
 @dataclass(frozen=True)
@@ -132,19 +117,12 @@ class MatrixClass:
 def canonicalize(A: Matrix, rtol: float | None = None) -> MatrixClass:
     """Class of A: A with its identity factors removed.
 
-    Under exact comparison (exact mode, or rtol=0) the representative is
-    unique: its level is one gcd (``_root``), and it is A's block corners.
-    A float tolerance is not transitive: there one ascending pass over the
-    primes of gcd(rows, cols) peels each while ``try_unkron`` succeeds,
-    and no prime is retried.
+    The level is one gcd over where the runs along A's diagonals start
+    and end (``_root``), under exact comparison (exact mode, or rtol=0),
+    where the representative is unique, and under a float tolerance alike;
+    the representative is A's block corners.
     """
-    if A.scalar == RATIONAL or rtol == 0.0:
-        return MatrixClass(ratio_of(A), _root(A, gcd(A.rows, A.cols)))
-    rep = A
-    for p in _prime_factors(gcd(A.rows, A.cols)):
-        while (peeled := try_unkron(rep, p, rtol)) is not None:
-            rep = peeled
-    return MatrixClass(ratio_of(A), rep)
+    return MatrixClass(ratio_of(A), _root(A, gcd(A.rows, A.cols), rtol))
 
 
 def equivalent(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:

@@ -3,7 +3,8 @@ lifted-product definitions, plain Matrix arithmetic (``matmul``, ``add``,
 ``sub``, ``frobenius_inner``) and the single-entry matrix ``e_matrix``
 that the library itself does not need, Matrix-level references that
 build the identity lifts in full, an entry-by-entry peel check and the
-canonical form by restarted peels over it, span and
+canonical form by restarted peels over it, the canonical level by the
+diagonal-run rule walked one diagonal at a time, span and
 rank checks by lcm lifts, basis coordinates by one gcd-chain telescope
 per entry, the Cauchy experiment's fill by its definition
 (``ref_delta_n``), seeded random matrix generators, and
@@ -238,6 +239,30 @@ def ref_canonicalize(A: Matrix, rtol=None) -> Matrix:
         if peeled is None:
             return A
         A = peeled
+
+
+def ref_run_level(A: Matrix, rtol=None) -> int:
+    """The canonical level by the run rule, one diagonal at a time: walk
+    each diagonal from its top-left end, split its nonzeros (entries not
+    equal, through scalar_eq, to zero) into runs, a run going on while its
+    entries equal its first, and fold gcd(rows, cols) with the row and
+    column where each run starts and the row where a zero ends it."""
+    kind = A.scalar
+    zero = _zero(kind)
+    level = gcd(A.rows, A.cols)
+    for d in range(1 - A.rows, A.cols):
+        r, c, first = max(0, -d), max(0, d), None
+        while r < A.rows and c < A.cols:
+            v = A.entry(r, c)
+            if scalar_eq(v, zero, kind, rtol):
+                if first is not None:
+                    level = gcd(level, r)
+                first = None
+            elif first is None or not scalar_eq(v, first, kind, rtol):
+                first = v
+                level = gcd(level, r, c)
+            r, c = r + 1, c + 1
+    return level
 
 
 # --- span and rank by lcm lifts -------------------------------------------

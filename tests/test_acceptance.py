@@ -62,7 +62,6 @@ from semitensor import (
     zeros,
 )
 from semitensor.matrix import scale
-from semitensor.quotient import _prime_factors
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -153,11 +152,16 @@ def test_criterion_03_vector_space_and_lie_axioms():
     _report(3, "vector-space axioms and Lie axioms, 50 exact trials each", ok)
 
 
+def _primes(n):
+    """Distinct prime factors of n, ascending, by trial division."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
 def _peel_descending(A):
     rep = A
     while True:
         g = gcd(rep.rows, rep.cols)
-        for s in reversed(_prime_factors(g)):
+        for s in reversed(_primes(g)):
             peeled = try_unkron(rep, s)
             if peeled is not None:
                 rep = peeled

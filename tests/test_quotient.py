@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from conftest import matrices
 from helpers import (
-    as_matrix, lift, rand_matrix, ref_canonicalize, ref_lminus, ref_ltimes, ref_try_unkron,
+    as_matrix, lift, rand_matrix, ref_canonicalize, ref_lminus, ref_ltimes, ref_run_level,
+    ref_try_unkron,
 )
 
 from semitensor import (
@@ -195,16 +196,114 @@ def test_one_pass_level_matches_the_references(kind, rtol):
     assert reducible >= 35
 
 
-def test_float_level_is_the_ascending_pass():
-    # under a tolerance, 2 fails, 3 peels, and 2 is not tried again: the
-    # restart loop would go on to peel diag(1, 1 + 5e-10) to [1.0]
+def test_float_level_is_the_run_rule():
+    # under a tolerance a run goes on while its entries are within rtol of
+    # its first: 1 - 9e-10 and 1 + 5e-10 both are, so the 6 x 6 is one run
+    # and peels to [1.0], as the restart loop does; a diagonal drifting by
+    # 6e-10 a step leaves the run at 1 + 1.2e-9, so that 4 x 4 stays
     big = 1 + 5e-10
-    diag = (1.0, 1.0, 1 - 9e-10, big, big, big)
-    A = Matrix(6, 6, tuple(d if i == j else 0.0 for i, d in enumerate(diag) for j in range(6)),
-               FLOAT64)
-    assert canonicalize(A).rep == Matrix(2, 2, (1.0, 0.0, 0.0, big), FLOAT64)
-    assert ref_canonicalize(A) == Matrix(1, 1, (1.0,), FLOAT64)
+    A = _diag((1.0, 1.0, 1 - 9e-10, big, big, big))
+    assert canonicalize(A).rep == Matrix(1, 1, (1.0,), FLOAT64) == ref_canonicalize(A)
+    assert try_unkron(A, 6) == Matrix(1, 1, (1.0,), FLOAT64)
     assert canonicalize(A, rtol=0.0).rep == A
+    drift = _diag((1.0, 1.0, 1 + 6e-10, 1 + 1.2e-9))
+    assert canonicalize(drift).rep is drift
+    assert try_unkron(drift, 2) is None
+
+
+def _diag(values):
+    n = len(values)
+    return Matrix(n, n, tuple(d if i == j else 0.0 for i, d in enumerate(values)
+                              for j in range(n)), FLOAT64)
+
+
+_RTOLS = (None, 1e-3, 0.5, 2.0)
+
+
+def _near_lifts(rng, count):
+    """Seeded float near-lifts: integer-valued matrices up to 4 x 4 lifted
+    by 1, 2, 3, 4 or 6, each with one kind of noise in turn: up to three
+    entries moved by a relative 1e-10 to 5e-9; up to three zeros set to
+    +-1e-14 or 1e-16; each block's diagonal run drifting by +-6e-10 a step
+    from a random offset on; or, before the lift, a lift of a matrix up to
+    2 x 2 whose diagonals drift so, which the lift keeps exact."""
+    def integers(m, n):
+        return Matrix(m, n, tuple(float(rng.choice((0, 0, 1, 1, 2, -3))) for _ in range(m * n)),
+                      FLOAT64)
+
+    for k in range(count):
+        s, step = rng.choice((1, 2, 3, 4, 6)), rng.choice((6e-10, -6e-10))
+        if k % 4 == 3:
+            m, n = rng.randint(1, 2), rng.randint(1, 2)
+            B = lift(integers(m, n), rng.choice((2, 3, 4)) if m == n == 1 else 2)
+            B = Matrix(B.rows, B.cols, tuple(v * (1 + step * min(divmod(p, B.cols)))
+                                             for p, v in enumerate(B.data)), FLOAT64)
+        else:
+            B = integers(rng.randint(1, 4), rng.randint(1, 4))
+        L = lift(B, s)
+        data = list(L.data)
+        if k % 4 == 0:
+            for _ in range(rng.randint(0, 3)):
+                p = rng.randrange(len(data))
+                data[p] += (abs(data[p]) or 1.0) * rng.choice((1, -1)) * rng.uniform(1e-10, 5e-9)
+        elif k % 4 == 1:
+            zeros_at = [p for p, v in enumerate(data) if not v]
+            for p in rng.sample(zeros_at, min(len(zeros_at), rng.randint(0, 3))):
+                data[p] = rng.choice((1e-14, -1e-14, 1e-16))
+        elif k % 4 == 2:
+            a0 = rng.randrange(s)
+            for p, v in enumerate(data):
+                r, c = divmod(p, L.cols)
+                if r % s == c % s > a0:
+                    data[p] = v * (1 + step * (r % s - a0))
+        yield Matrix(L.rows, L.cols, tuple(data), FLOAT64)
+
+
+_NEAR_LIFTS = tuple(_near_lifts(random.Random(29), 2100))
+
+
+def _corner_rep(A, level):
+    return Matrix(A.rows // level, A.cols // level,
+                  tuple(A.entry(i * level, j * level) for i in range(A.rows // level)
+                        for j in range(A.cols // level)), A.scalar)
+
+
+def test_canonical_level_is_the_diagonal_run_oracle():
+    # the row-major scan against a walk down each diagonal, on the level
+    # cases in both kinds and on the near-lifts at four tolerances
+    cases = [(A, None) for A in _level_cases(random.Random(31), RATIONAL)]
+    cases += [(A, rtol) for A in _level_cases(random.Random(37), FLOAT64)
+              for rtol in (0.0,) + _RTOLS]
+    cases += [(A, rtol) for A in _NEAR_LIFTS for rtol in _RTOLS]
+    below_gcd = 0
+    for A, rtol in cases:
+        rep = canonicalize(A, rtol).rep
+        level = ref_run_level(A, rtol)
+        assert A.rows // rep.rows == level, (A, rtol)
+        assert repr(rep) == repr(_corner_rep(A, level)), (A, rtol)
+        below_gcd += level < math.gcd(A.rows, A.cols)
+    assert below_gcd >= 1000
+
+
+def test_try_unkron_peels_exactly_the_divisors_of_the_level():
+    for A in _NEAR_LIFTS:
+        g = math.gcd(A.rows, A.cols)
+        for rtol in _RTOLS:
+            level = A.rows // canonicalize(A, rtol).rep.rows
+            for s in range(2, g + 1):
+                if g % s == 0:
+                    assert (try_unkron(A, s, rtol) is not None) == (level % s == 0), (A, s, rtol)
+
+
+def test_exact_level_divides_the_tolerant_level():
+    # a diagonal drifting by 6e-10 a step, lifted by 3: its runs restart at
+    # row 6, so the level is 6; peeling 2 twice first would leave 4
+    stair = lift(_diag((1.0, 1 + 6e-10, 1 + 1.2e-9, 1 + 1.8e-9)), 3)
+    assert canonicalize(stair, 0.0).rep.rows == 4 and canonicalize(stair).rep.rows == 2
+    for A in _NEAR_LIFTS:
+        exact = A.rows // canonicalize(A, 0.0).rep.rows
+        for rtol in _RTOLS:
+            assert (A.rows // canonicalize(A, rtol).rep.rows) % exact == 0, (A, rtol)
 
 
 def test_peel_order_independence():
@@ -213,7 +312,7 @@ def test_peel_order_independence():
         A0 = canonicalize(rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))).rep
         s = rng.randint(2, 12)
         A = kron(A0, identity(s))
-        # ascending prime peel (library) vs one peel at the known factor
+        # the level rule (library) vs one peel at the known factor
         asc = canonicalize(A).rep
         desc = try_unkron(A, s)
         assert asc == desc == A0
