@@ -62,6 +62,14 @@ class BasisElement:
                 f"basis element needs gcd(i, j1, j2)=1, got ({self.i},{self.j1},{self.j2})"
             )
 
+    @classmethod
+    def _trusted(cls, mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> BasisElement:
+        """The element of these indices, built with no check: the caller
+        has made sure they meet every rule above."""
+        self = object.__new__(cls)
+        self.__dict__.update(mu=mu, k=k, l=l, i=i, j1=j1, j2=j2)
+        return self
+
     @property
     def kind(self) -> str:
         """'D' for diagonal (j1 = j2), 'N' otherwise."""
@@ -93,24 +101,33 @@ class Coordinates:
             if c == 0:
                 raise ValueError("zero coefficients must not be stored")
 
+    @classmethod
+    def _trusted(cls, mu: Fraction, terms: dict[BasisElement, Fraction]) -> Coordinates:
+        """Coordinates of these terms, built with no check: the caller has
+        made sure each is a nonzero Fraction on an element of ratio mu > 0."""
+        self = object.__new__(cls)
+        self.__dict__.update(mu=mu, terms=terms)
+        return self
+
 
 def unit_class(e: BasisElement) -> MatrixClass:
     """The class named by a basis element: the one-term ``reconstruct``,
     so its size is checked against the budget before it is built."""
-    return reconstruct(Coordinates(e.mu, {e: Fraction(1)}))
+    return reconstruct(Coordinates._trusted(e.mu, {e: Fraction(1)}))
 
 
 def decompose_unit(mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> Coordinates:
     """Expand the class of E(p x q; k, l) x E(i x i; j1, j2) over the basis:
     the plus-chain terms with +1 and the minus-chain terms with -1, so a
-    coprime unit is itself. The BasisElement validator re-checks that each
-    emitted index is coprime (a gcd divided out of its arguments leaves 1)."""
+    coprime unit is itself. Each emitted index is coprime because a gcd
+    divided out of its arguments leaves 1; ``tests/test_boundary.py``
+    checks every emitted element against the rules of ``BasisElement``."""
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
     if not (1 <= k <= p and 1 <= l <= q and 1 <= j1 <= i and 1 <= j2 <= i):
         raise ValueError(f"indices (k={k}, l={l}, i={i}, j1={j1}, j2={j2}) out of range")
-    return Coordinates(mu, {
-        BasisElement(mu, k, l, size, a, b): Fraction(c)
+    return Coordinates._trusted(mu, {
+        BasisElement._trusted(mu, k, l, size, a, b): Fraction(c)
         for (size, a, b, _, _), c in _carry(i, i, [((j1 - 1) * i + j2 - 1, 1)]).items()
     })
 
@@ -167,8 +184,9 @@ def decompose_class(x: MatrixClass) -> Coordinates:
     unit E(p x q; k, l) x E(k0 x k0; j1, j2) with I = (k-1)k0 + j1 and
     J = (l-1)k0 + j2, and all these units telescope at once (``_carry``)."""
     coords = next(_coordinate_rows([x]))
-    return Coordinates(x.mu, {
-        BasisElement(x.mu, k, l, i, j1, j2): c for (i, j1, j2, k, l), c in coords.items()
+    return Coordinates._trusted(x.mu, {
+        BasisElement._trusted(x.mu, k, l, i, j1, j2): c
+        for (i, j1, j2, k, l), c in coords.items()
     })
 
 
@@ -193,7 +211,7 @@ def reconstruct(c: Coordinates) -> MatrixClass:
         for sl in _row_slices((e.k - 1) * e.i + e.j1 - 1, p * e.i, q * e.i, s):
             pos = sl.start + col * s
             acc[pos] = coeff if acc[pos] is zero else acc[pos] + coeff
-    return MatrixClass(c.mu, Matrix(p * L, q * L, tuple(acc), RATIONAL))
+    return MatrixClass(c.mu, Matrix._trusted(p * L, q * L, tuple(acc), RATIONAL))
 
 
 def _eliminate(pivots: dict, v: dict[tuple[int, ...], Fraction]) -> bool:
@@ -261,7 +279,7 @@ def enumerate_basis(mu: Fraction, i_max: int) -> list[BasisElement]:
             f"up to {bound} basis elements for i_max={i_max}, over the budget of {_MAX_ELEMENTS}"
         )
     return [
-        BasisElement(mu, k, l, i, j1, j2)
+        BasisElement._trusted(mu, k, l, i, j1, j2)
         for i in range(1, i_max + 1)
         for j1 in range(1, i + 1)
         for j2 in range(1, i + 1)

@@ -7,6 +7,13 @@ floor. Every value is immutable, every operation is a pure function.
 Every constructor that sizes its result from its arguments (``zeros``,
 ``identity``, ``kron``) checks it against one size budget,
 ``_MAX_ENTRIES``, before anything is allocated.
+
+Entries are checked once, at the boundary: the public ``Matrix(...)``
+(and so ``dataclasses.replace``), ``from_rows`` and ``io``'s readers
+check the shape, the kind and the type of every entry. A matrix the
+library builds from entries of matrices already checked, or from
+arguments it has checked itself, is made by ``Matrix._trusted``, which
+runs no check again.
 """
 
 from __future__ import annotations
@@ -75,9 +82,25 @@ def scalar_eq(a: Scalar, b: Scalar, kind: str, rtol: float | None = None) -> boo
     return a == b or ((d := abs(a - b)) < inf and d <= max(rtol * max(abs(a), abs(b)), ABS_FLOOR))
 
 
+def _entry_type(rows: int, cols: int, scalar: str) -> type:
+    # The entry type of a rows x cols matrix of kind scalar; refuses a
+    # shape that is not positive and an unknown kind.
+    if rows < 1 or cols < 1:
+        raise ValueError(f"shape must be positive, got {rows}x{cols}")
+    kind_type = _KIND_TYPES.get(scalar)
+    if kind_type is None:
+        raise ValueError(f"unknown scalar kind {scalar!r}")
+    return kind_type
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """An m x n matrix with uniform scalar kind, row-major storage."""
+    """An m x n matrix with uniform scalar kind, row-major storage.
+
+    The constructor checks that the shape is positive, that ``data`` holds
+    rows * cols entries and that each is of the kind's type (``Fraction``
+    or ``float``). ``_trusted`` builds the same value with no check.
+    """
 
     rows: int
     cols: int
@@ -85,17 +108,24 @@ class Matrix:
     scalar: str = RATIONAL
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"shape must be positive, got {self.rows}x{self.cols}")
+        kind_type = _entry_type(self.rows, self.cols, self.scalar)
         if len(self.data) != self.rows * self.cols:
             raise ValueError(
                 f"data length {len(self.data)} != {self.rows}*{self.cols}"
             )
-        kind_type = _KIND_TYPES.get(self.scalar)
-        if kind_type is None:
-            raise ValueError(f"unknown scalar kind {self.scalar!r}")
         if not all(map(isinstance, self.data, repeat(kind_type))):
             raise ValueError(f"{self.scalar} matrix entries must be {kind_type.__name__}")
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, data: tuple, scalar: str) -> Matrix:
+        """The matrix of these fields, built with no check: rows and cols
+        positive, scalar a known kind, and data a tuple of rows * cols
+        entries of its type, which the caller has made sure of. Call it
+        through the class, ``Matrix._trusted(...)``, so that a wrapper set
+        on the class (the tests' entry counter) sees every call."""
+        self = object.__new__(cls)
+        self.__dict__.update(rows=rows, cols=cols, data=data, scalar=scalar)
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,14 +163,16 @@ def _zero(kind: str) -> Scalar:
 
 def zeros(m: int, n: int, scalar: str = RATIONAL) -> Matrix:
     _check_budget(m, n)
-    return Matrix(m, n, (_zero(scalar),) * (m * n), scalar)
+    _entry_type(m, n, scalar)
+    return Matrix._trusted(m, n, (_zero(scalar),) * (m * n), scalar)
 
 
 def identity(n: int, scalar: str = RATIONAL) -> Matrix:
     _check_budget(n, n)
+    _entry_type(n, n, scalar)
     z, o = _zero(scalar), Fraction(1) if scalar == RATIONAL else 1.0
     data = tuple(o if i == j else z for i in range(n) for j in range(n))
-    return Matrix(n, n, data, scalar)
+    return Matrix._trusted(n, n, data, scalar)
 
 
 def _require_same_kind(A: Matrix, B: Matrix) -> None:
@@ -161,12 +193,12 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
             for r in range(p):
                 base = (i * p + r) * ocols + j * q
                 out[base : base + q] = [a * b for b in B.data[r * q : (r + 1) * q]]
-    return Matrix(m * p, n * q, tuple(out), A.scalar)
+    return Matrix._trusted(m * p, n * q, tuple(out), A.scalar)
 
 
 def scale(c, A: Matrix) -> Matrix:
     c = as_scalar(c, A.scalar)
-    return Matrix(A.rows, A.cols, tuple(c * v for v in A.data), A.scalar)
+    return Matrix._trusted(A.rows, A.cols, tuple(c * v for v in A.data), A.scalar)
 
 
 def eq_within(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:
@@ -181,4 +213,4 @@ def to_rational(A: Matrix, max_denominator: int = 10**12) -> Matrix:
     if A.scalar == RATIONAL:
         return A
     data = tuple(Fraction(v).limit_denominator(max_denominator) for v in A.data)
-    return Matrix(A.rows, A.cols, data, RATIONAL)
+    return Matrix._trusted(A.rows, A.cols, data, RATIONAL)

@@ -27,7 +27,7 @@ def _corners(A: Matrix, s: int) -> Matrix:
     """The corners of A's s x s blocks: B, if A = B x I_s."""
     cols = A.cols
     rows = (A.data[i * cols : (i + 1) * cols : s] for i in range(0, A.rows, s))
-    return Matrix(A.rows // s, cols // s, tuple(chain.from_iterable(rows)), A.scalar)
+    return Matrix._trusted(A.rows // s, cols // s, tuple(chain.from_iterable(rows)), A.scalar)
 
 
 def _root(A: Matrix, g: int, rtol: float | None = None) -> Matrix:

@@ -122,7 +122,7 @@ def _assemble(acc: list[list], d: int, kind: str) -> Matrix:
         zero = _zero(RATIONAL)
         for row in acc:
             row[:] = [Fraction(v, d) if v else zero for v in row]
-    return Matrix(len(acc), len(acc[0]), tuple(chain.from_iterable(acc)), kind)
+    return Matrix._trusted(len(acc), len(acc[0]), tuple(chain.from_iterable(acc)), kind)
 
 
 def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
@@ -195,7 +195,7 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
                 row = [(-v if negate else v) if v else zero for v in row]
             for sl in _row_slices(i, rows, width, t // X.rows, right):
                 acc[sl] = row if plus is None else map(plus, acc[sl], row)
-    return Matrix(t, cols, tuple(acc), A.scalar)
+    return Matrix._trusted(t, cols, tuple(acc), A.scalar)
 
 
 def _require_same_ratio(A: Matrix, B: Matrix) -> None:

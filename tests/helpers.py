@@ -384,17 +384,23 @@ def as_matrix(lists) -> Matrix:
 def counting_entries():
     """Count the matrix entries built inside a ``with`` block: the
     yielded ``count.entries`` grows by rows * cols per ``Matrix`` built.
-    The dataclass ``__init__`` looks ``__post_init__`` up on the class,
-    so wrapping it there sees every construction."""
+    A matrix is built by the checked constructor, whose dataclass
+    ``__init__`` looks ``__post_init__`` up on the class, or by
+    ``Matrix._trusted``, which the library calls through the class; so
+    wrapping both there sees every construction."""
     count = SimpleNamespace(entries=0)
-    original = Matrix.__post_init__
+    checked, trusted = Matrix.__post_init__, Matrix.__dict__["_trusted"]
 
     def counted(self):
-        original(self)
+        checked(self)
         count.entries += self.rows * self.cols
 
-    Matrix.__post_init__ = counted
+    def counted_trusted(cls, rows, cols, data, scalar):
+        count.entries += rows * cols
+        return trusted.__func__(cls, rows, cols, data, scalar)
+
+    Matrix.__post_init__, Matrix._trusted = counted, classmethod(counted_trusted)
     try:
         yield count
     finally:
-        Matrix.__post_init__ = original
+        Matrix.__post_init__, Matrix._trusted = checked, trusted
