@@ -3,13 +3,13 @@ non-convergent Cauchy-sequence experiment.
 
 The pairing of two classes lifts both irreducible representatives to the
 lcm of their row counts and takes the conventional entrywise product
-there. The induced "norm" is then the Frobenius norm of the irreducible
-representative, which makes the quantities representative-sensitive:
-lifting scales the Frobenius norm by sqrt(s), so canonical forms are
-mandatory. The pairing is *not* additive in its arguments and the
-distance does *not* satisfy the triangle inequality; both failures have
-exact pinned counterexamples in the test suite and nothing here assumes
-those axioms.
+there. The induced "norm" is the Frobenius norm of the irreducible
+representative, taken from its entries in one pass, not through the
+pairing; it makes the quantities representative-sensitive: lifting
+scales the Frobenius norm by sqrt(s), so canonical forms are mandatory.
+The pairing is *not* additive in its arguments and the distance does
+*not* satisfy the triangle inequality; both failures have exact pinned
+counterexamples in the test suite and nothing here assumes those axioms.
 
 The experiment iterates A_n = fill_n(A_{n-1} x I_2), where fill_n
 replaces zero entries by exp(-2^(n-1)). Consecutive distances obey the
@@ -79,12 +79,16 @@ def inner(x: MatrixClass, y: MatrixClass):
 
 
 def norm(x: MatrixClass) -> float:
-    """Frobenius norm of the irreducible representative."""
-    return math.sqrt(inner(x, x))
+    """Frobenius norm of the irreducible representative in one C-level pass:
+    float ``math.hypot`` (no square overflows), exact one integer sum of squares."""
+    if x.scalar == FLOAT64:
+        return math.hypot(*x.rep.data)
+    xs, d = _integers(x.rep)
+    return math.sqrt(Fraction(sum(map(mul, xs, xs)), d * d))
 
 
 def dist(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> float:
-    """Norm of the canonicalized class difference."""
+    """Norm of the canonicalized class difference: finite if the difference is."""
     return norm(class_sub(x, y, rtol))
 
 

@@ -91,13 +91,18 @@ class MatrixClass:
     """An equivalence class, stored by its irreducible representative.
 
     Construct through :func:`canonicalize`; the direct constructor only
-    checks that the stored ratio matches the representative's shape.
+    checks that the stored ratio is a ``Fraction`` (an int is stored as
+    one; a bool or a float is refused) matching the representative's shape.
     """
 
     mu: Fraction
     rep: Matrix
 
     def __post_init__(self):
+        if isinstance(self.mu, int) and not isinstance(self.mu, bool):
+            object.__setattr__(self, "mu", Fraction(self.mu))
+        elif not isinstance(self.mu, Fraction):
+            raise ValueError(f"ratio must be a Fraction or an int, got {self.mu!r}")
         if ratio_of(self.rep) != self.mu:
             raise ValueError(
                 f"representative shape {self.rep.shape} has ratio "

@@ -6,8 +6,9 @@ build the identity lifts in full, an entry-by-entry peel check and the
 canonical form by restarted peels over it, the canonical level by the
 diagonal-run rule walked one diagonal at a time, span and
 rank checks by lcm lifts, basis coordinates by one gcd-chain telescope
-per entry, the Cauchy experiment's fill by its definition
-(``ref_delta_n``), seeded random matrix generators, and
+per entry, the correctly rounded float norm (``ref_norm``), the Cauchy
+experiment's fill by its definition (``ref_delta_n``), seeded random
+matrix generators, and
 ``counting_entries``, which counts the matrix entries built inside a
 ``with`` block.
 
@@ -23,7 +24,7 @@ in both scalar kinds.
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import fsum, gcd, lcm
+from math import fsum, gcd, inf, isinf, isnan, isqrt, lcm, nan
 from types import SimpleNamespace
 
 from semitensor import FLOAT64, Matrix, RATIONAL, fill_value, from_rows
@@ -195,6 +196,29 @@ def ref_inner_nonzero(A: Matrix, B: Matrix) -> float:
     t = lcm(A.rows, B.rows)
     X, Y = lift(A, t // A.rows), lift(B, t // B.rows)
     return fsum(v * w for v, w in zip(X.data, Y.data) if v and w)
+
+
+def ref_norm(values) -> float:
+    """Frobenius norm of float entries, correctly rounded: inf if any entry
+    is infinite, else NaN if any is NaN, else the square root of the exact
+    sum of ``Fraction(v)**2``, taken by ``isqrt`` to at least 256 bits and
+    rounded to odd (a sticky last bit) before the one rounding to float."""
+    if any(map(isinf, values)):
+        return inf
+    if any(map(isnan, values)):
+        return nan
+    total = sum(Fraction(v) ** 2 for v in values)
+    if not total:
+        return 0.0
+    p, q = total.numerator, total.denominator
+    k = 256 - (p.bit_length() - q.bit_length()) // 2  # sqrt(total) * 2^k has >= 256 bits
+    scaled = total * Fraction(4) ** k
+    r = isqrt(scaled.numerator // scaled.denominator)
+    r |= r * r != scaled
+    try:
+        return float(r * Fraction(2) ** -k)
+    except OverflowError:  # past the largest binary64: rounds to inf
+        return inf
 
 
 def ref_delta_n(A: Matrix, n: int) -> Matrix:

@@ -185,6 +185,13 @@ def test_overflowed_result_is_domain_error(capsys):
     assert json.loads(err)["error"] == "domain"
 
 
+def test_finite_distance_whose_squares_overflow(capsys):
+    # the difference [[2e200]] is finite, so its norm is; [[1e308]] and
+    # [[-1e308]] stay refused, since there the difference itself overflows
+    code, out, err = run(capsys, "--scalar", "float64", "dist", "[[1e200]]", "[[-1e200]]")
+    assert (code, err) == (0, "") and json.loads(out) == {"value": 2e200}
+
+
 def _one_term(mu="1", **fields):
     """A coordinates file holding one term, the unit (1, 1; 1, 1) with ``fields`` over it."""
     term = {"kind": "D", "k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1, **fields}

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import as_matrix, rand_matrix, ref_delta_n
+from helpers import as_matrix, rand_matrix, ref_delta_n, ref_norm
 
 from semitensor import (
     CauchyConfig,
     FLOAT64,
+    Matrix,
     canonicalize,
     cauchy_sequence,
     class_add,
@@ -46,6 +47,62 @@ def test_norm_examples():
     assert norm(zero_class(Fraction(1))) == 0.0
     assert norm(canonicalize(as_matrix([[1, 2]]))) == math.sqrt(5)
     assert norm(canonicalize(identity(6))) == 1.0
+
+
+def _float_class(rows):
+    return canonicalize(from_rows(rows, FLOAT64), rtol=0.0)
+
+
+def test_float_norm_is_within_one_ulp_of_the_exact_norm():
+    # classes whose entries span 1e-300 to 1e300, within one class or
+    # around one magnitude, with +-0.0 and subnormals mixed in; the norm
+    # against the correctly rounded square root of the exact sum of squares
+    rng = random.Random(23)
+    specials = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308)
+    for k in range(2400):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        base, spread = rng.randint(-300, 300), (0, 2, 30, 600)[k % 4]
+
+        def entry():
+            if rng.random() < 0.1:
+                return rng.choice(specials)
+            e = min(300, max(-300, base + rng.randint(-spread, spread)))
+            return rng.uniform(-9.9, 9.9) * 10.0**e
+
+        data = tuple(entry() for _ in range(rows * cols))
+        x = canonicalize(Matrix(rows, cols, data, FLOAT64), rtol=0.0)
+        got, want = norm(x), ref_norm(x.rep.data)
+        assert abs(got - want) <= math.ulp(want), (x.rep.data, got, want)
+
+
+def test_float_norm_has_no_intermediate_overflow_or_underflow():
+    # the squares 1e400 and 9e-400, 16e-400 are out of binary64's range,
+    # the norms are not
+    assert norm(_float_class([[1e200]])) == 1e200
+    assert norm(_float_class([[3e-200, 4e-200]])) == 5e-200
+    assert norm(_float_class([[-1e300, 1e300]])) == ref_norm((-1e300, 1e300))
+    assert dist(_float_class([[1e200]]), _float_class([[-1e200]]), rtol=0.0) == 2e200
+
+
+def test_float_norm_non_finite_rule():
+    # an infinity gives inf even next to a NaN (hypot's IEEE rule); a NaN
+    # alone gives nan
+    for rows in ([[math.inf, math.nan]], [[math.nan, -math.inf]], [[-math.inf, 1.0]]):
+        assert norm(_float_class(rows)) == math.inf
+    assert math.isnan(norm(_float_class([[math.nan, 1.0]])))
+
+
+def test_exact_norm_is_the_root_of_the_self_pairing():
+    # bit for bit, with one common denominator over primes near 10^4
+    rng = random.Random(29)
+    dens = (1, 2, 3, 7, 9, 97, 9973, 10007, 10009)
+    for _ in range(400):
+        (p, q), k = rng.choice(((1, 1), (1, 2), (2, 3), (3, 2))), rng.randint(1, 2)
+        rows, cols = p * k, q * k
+        x = canonicalize(from_rows([[Fraction(rng.randint(-9, 9) * (rng.random() < 0.6),
+                                              rng.choice(dens)) for _ in range(cols)]
+                                    for _ in range(rows)]))
+        assert norm(x) == math.sqrt(inner(x, x))
 
 
 def test_dist_examples():

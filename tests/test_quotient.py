@@ -350,6 +350,19 @@ def test_matrix_class_checks_its_ratio():
         MatrixClass(Fraction(1), as_matrix([[1, 2]]))
 
 
+def test_matrix_class_ratio_is_a_fraction():
+    # a ratio that only compares equal (a float, a bool) is refused at the
+    # boundary, since k0 and the basis read its numerator; an int is stored
+    # as a Fraction
+    one = as_matrix([[1]])
+    for bad in (1.0, True, "1", None):
+        with pytest.raises(ValueError, match="ratio must be a Fraction or an int"):
+            MatrixClass(bad, one)
+    x = MatrixClass(2, as_matrix([[1], [2]]))
+    assert type(x.mu) is Fraction and x.mu == 2 and x.k0 == 1
+    assert x == canonicalize(as_matrix([[1], [2]]))
+
+
 def test_class_add_ratio_mismatch():
     with pytest.raises(ValueError):
         class_add(canonicalize(as_matrix([[1]])), canonicalize(as_matrix([[1, 2]])))
