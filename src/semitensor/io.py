@@ -1,8 +1,9 @@
 """JSON and CSV serialization for matrices, classes, coordinates and reports.
 
 Matrix JSON: {"rows": m, "cols": n, "scalar": "rational"|"float64",
-"data": [row-major entries]} with rationals as "num/den" strings (plain
-integers are accepted on input). CSV holds one matrix row per line.
+"data": [row-major entries]}, data a JSON array, with rationals as
+"num/den" strings (plain integers are accepted on input). CSV holds one
+matrix row per line.
 Every entry, coefficient and ratio read goes through ``matrix.as_scalar``,
 so a float is never taken as a rational; shape and index fields must be
 JSON integers.
@@ -45,6 +46,8 @@ def matrix_from_dict(d: dict) -> Matrix:
         raise ValueError(f"matrix object missing field: {exc}") from exc
     if scalar not in (RATIONAL, FLOAT64):
         raise ValueError(f"unknown scalar kind {scalar!r}")
+    if not isinstance(data, list):
+        raise ValueError(f"data must be a JSON array, got {type(data).__name__}")
     entries = tuple(as_scalar(v, scalar) for v in data)
     return Matrix(_integer(rows, "rows"), _integer(cols, "cols"), entries, scalar)
 

@@ -20,10 +20,8 @@ a Cauchy sequence while the sequence escapes every candidate limit.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -45,10 +43,8 @@ def inner(x: MatrixClass, y: MatrixClass):
     X's row and one of Y's, each read by ``stp._integers``. The pairing
     sums the products of nonzero entries in row-major lifted order (on
     which fsum's overflow depends), so an inf or NaN facing a zero adds
-    nothing. Exact mode sums integers over both denominators once. Float
-    mode takes one ``math.fsum`` of every product, since a ±0.0 term
-    leaves its exact partials as they are, and redoes the sum over the
-    nonzero pairs only if it is NaN or raises.
+    nothing. Both kinds sum that one stream of products: float mode by
+    one ``math.fsum``, exact mode as integers over both denominators once.
     """
     _require_same_mu(x, y)
     _require_same_kind(x.rep, y.rep)
@@ -69,13 +65,9 @@ def inner(x: MatrixClass, y: MatrixClass):
                 yield a, ys[y_row + (j0 * sx + d) // sy : y_row + Y.cols : sx]
 
     products = (v * w for a, b in lifted_rows() for v, w in zip(a, b) if v and w)
-    if X.scalar != FLOAT64:
-        return Fraction(sum(products), dx * dy)
-    with suppress(OverflowError, ValueError):
-        total = math.fsum(chain.from_iterable(map(mul, a, b) for a, b in lifted_rows()))
-        if not math.isnan(total):
-            return total
-    return math.fsum(products)
+    if X.scalar == FLOAT64:
+        return math.fsum(products)
+    return Fraction(sum(products), dx * dy)
 
 
 def norm(x: MatrixClass) -> float:

@@ -23,8 +23,9 @@ Every product reads its operands through one reader, ``_integers``: a
 rational operand as integer numerators over one common denominator, the
 lcm of its denominators, a float one as its entries over 1. The entries
 read are multiplied and summed a lifted row at a time; in exact mode
-each nonzero output cell becomes one ``Fraction`` over the product of
-the two denominators. The Lie bracket's XY - YX (``_commutator``)
+the output builds one ``Fraction`` over the product of the two
+denominators per distinct value, shared by every cell that holds it
+(``Fraction``s are immutable). The Lie bracket's XY - YX (``_commutator``)
 subtracts the two t x t products cell by cell and builds one matrix in
 either kind, which the bracket peels once. Neither mode multiplies a
 stored zero of either lift, so an inf or NaN entry facing a zero adds
@@ -117,12 +118,12 @@ def _product_rows(A: Matrix, a, B: Matrix, b, right: bool = False) -> list[list]
 
 
 def _assemble(acc: list[list], d: int, kind: str) -> Matrix:
-    # The matrix of accumulated rows, each nonzero exact cell over d.
+    # The matrix of accumulated rows; in exact mode each cell over d, one
+    # Fraction per distinct value, shared by every cell that holds it.
+    cells = tuple(chain.from_iterable(acc))
     if kind == RATIONAL:
-        zero = _zero(RATIONAL)
-        for row in acc:
-            row[:] = [Fraction(v, d) if v else zero for v in row]
-    return Matrix._trusted(len(acc), len(acc[0]), tuple(chain.from_iterable(acc)), kind)
+        cells = tuple(map({v: Fraction(v, d) for v in set(cells)}.__getitem__, cells))
+    return Matrix._trusted(len(acc), len(acc[0]), cells, kind)
 
 
 def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:

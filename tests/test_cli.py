@@ -310,6 +310,18 @@ def test_float_in_rational_json_names_the_string_form(capsys, tmp_path):
     assert code == 0 and class_from_dict(json.loads(out)).rep.data == (Fraction(1, 2),)
 
 
+@pytest.mark.parametrize("data", ["12", {"3": 0, "4": 0}], ids=["string", "object"])
+@pytest.mark.parametrize("wrap", [False, True], ids=["matrix_file", "class_rep"])
+def test_matrix_file_data_must_be_a_json_array(capsys, tmp_path, data, wrap):
+    matrix = {"rows": 1, "cols": 2, "scalar": "rational", "data": data}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"mu": "1/2", "k0": 1, "rep": matrix} if wrap else matrix))
+    code, out, err = run(capsys, "canon", str(path))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "parse" and "data must be a JSON array" in error["message"]
+
+
 def test_oversized_result_is_domain_error(capsys):
     # t = lcm(997, 991) = 988027: a 49550 x 49850 product, over the size budget
     a, b = json.dumps([[1] * 997] * 50), json.dumps([[1] * 50] * 991)

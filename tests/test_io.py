@@ -53,6 +53,17 @@ def test_matrix_json_schema():
         matrix_from_dict({"rows": True, "cols": True, "scalar": "rational", "data": ["1"]})
 
 
+@pytest.mark.parametrize("data", ["12", {"3": 0, "4": 0}, None, 12],
+                         ids=["string", "object", "null", "number"])
+def test_matrix_data_must_be_a_json_array(data):
+    # a string or an object is iterable, but its characters or keys are no entries
+    rep = {"rows": 1, "cols": 2, "scalar": "rational", "data": data}
+    with pytest.raises(ValueError, match="data must be a JSON array"):
+        matrix_from_dict(rep)
+    with pytest.raises(ValueError, match="data must be a JSON array"):
+        class_from_dict({"mu": "1/2", "rep": rep})
+
+
 def test_matrix_csv_round_trip():
     A = as_matrix([[1, Fraction(-2, 3)], [Fraction(5, 7), 0]])
     assert matrix_from_csv(matrix_to_csv(A)) == A

@@ -201,9 +201,10 @@ def test_float_inner_skips_products_with_a_zero_factor():
 
 
 def test_float_inner_redoes_a_nan_sum_without_the_zero_products():
-    # X's 0.0 faces Y's inf. Summed with that NaN product, fsum starts its
-    # partials again after it and overflows on 1e308 + 1e308; without it,
-    # -1e308 + 1e308 + 1e308 is 1e308.
+    # X's 0.0 faces Y's inf, a product the pairing never sums. Summed
+    # with that NaN term, fsum would start its partials again after it and
+    # overflow on 1e308 + 1e308; without it, -1e308 + 1e308 + 1e308 is
+    # 1e308.
     X = from_rows([[-1e308, 0.0, 1e308, 1e308]], FLOAT64)
     Y = from_rows([[1.0, math.inf, 1.0, 1.0]], FLOAT64)
     with pytest.raises(OverflowError):

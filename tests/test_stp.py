@@ -12,9 +12,12 @@ from helpers import as_matrix, matmul, o_lplus, o_ltimes, o_rplus, o_rtimes, ran
 
 from semitensor import (
     Matrix,
+    canonicalize,
+    class_mul,
     equivalent,
     from_rows,
     identity,
+    lie_bracket,
     lminus,
     lplus,
     ltimes,
@@ -158,3 +161,19 @@ def test_integers_match_the_properties():
     assert d == lcm(*(v.denominator for v in A.data))
     assert ints == [v.numerator * (d // v.denominator) for v in A.data]
     assert all(type(w) is int for w in ints)
+
+
+def test_exact_products_build_one_fraction_per_distinct_value():
+    # equal cells of a product share one Fraction object; the class
+    # product and the bracket keep that, since peeling only gathers cells
+    rng = random.Random(67)
+    A, B = rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3)
+    r = ltimes(A, B)
+    assert len({id(v) for v in r.data}) == len(set(r.data)) < len(r.data)
+    for _ in range(30):
+        A = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        B = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        x, y = canonicalize(rand_matrix(rng, n, n)), canonicalize(rand_matrix(rng, m, m))
+        for r in (ltimes(A, B), rtimes(A, B), class_mul(x, y).rep, lie_bracket(x, y).rep):
+            assert len({id(v) for v in r.data}) == len(set(r.data))
