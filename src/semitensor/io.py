@@ -2,7 +2,8 @@
 
 Matrix JSON: {"rows": m, "cols": n, "scalar": "rational"|"float64",
 "data": [row-major entries]}, data a JSON array, with rationals as
-"num/den" strings (plain integers are accepted on input). CSV holds one
+"num/den" strings (plain integers are accepted on input). A coordinates
+object's "terms" is a JSON array too. CSV holds one
 matrix row per line.
 Every entry, coefficient and ratio read goes through ``matrix.as_scalar``,
 so a float is never taken as a rational; shape and index fields must be
@@ -100,6 +101,8 @@ def coords_from_dict(d: dict) -> Coordinates:
         raw = d["terms"]
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"coordinates object missing field or zero denominator: {exc}") from exc
+    if not isinstance(raw, list):
+        raise ValueError(f"terms must be a JSON array, got {type(raw).__name__}")
     terms = {}
     for t in raw:
         try:

@@ -9,8 +9,10 @@ No lift is ever built. One rule places every lift: ``_row_slices``
 says where row i of X lands in X x I_s or I_s x X, as one slice of
 each of s lifted rows (columns d, d + s, ... of row i*s + d on the
 left; columns b*n ... b*n + n - 1 of row b*m + i on the right). Sums
-and differences add each nonzero row into its slices in one step
-apiece (an unlifted operand as one row of all its entries, s = 1), and
+and differences place each nonzero row of the first operand in its
+slices and add each of the second's into its own, one step apiece (an
+unlifted operand as one row of all its entries, s = 1; an unlifted
+second operand is read in the one pass that builds the result), and
 ``basis.reconstruct`` places each basis unit's one entry by the same
 slices; the products read both lifts a lifted row at a time through
 ``_lifted_rows``, which reads the same slices. The Cauchy
@@ -157,17 +159,20 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
     """Sum of two same-ratio matrices, each lifted to the lcm of the row counts.
 
     If ``subtract``, B is subtracted instead, so a difference builds no
-    negated copy. Each nonzero row of an operand goes into every slice
-    of the result it lifts to, one slice at a time; an operand of t rows
-    is not lifted, and goes in as one row of all its entries, one slice.
+    negated copy. Each nonzero row of A is placed in the slices of the
+    result it lifts to (they never overlap), then each nonzero row of B
+    is added into its slices, one slice at a time. An operand of t rows
+    is not lifted, and goes in as one row of all its entries, one slice;
+    an unlifted B ends the sum, the result built in one pass over the
+    placed A and B's entries.
 
-    Float mode adds (or subtracts) every entry of such a row to an
-    accumulator that starts at 0.0, so a cell holds 0.0 where the sum of
-    the full lifts has -0.0, and a ±0.0 entry changes no cell. Exact mode
-    stores A's rows as they are (their slices never overlap) and then B's
-    entries, each as it is where A's lift holds a zero: a Fraction
-    addition happens only where two nonzero entries meet. Every exact
-    zero it stores is one object, so that test is by identity.
+    Float mode places a row of A with no zero as it is and rewrites each
+    zero of any other as 0.0 (0.0 + a is a with -0.0 made 0.0), so a
+    cell holds 0.0 where the sum of the full lifts has -0.0, and a ±0.0
+    entry of B changes no cell. Exact mode stores B's entries as they
+    are where A's lift holds a zero: a Fraction addition happens only
+    where two nonzero entries meet. Every exact zero it stores is one
+    object, so that test is by identity.
     """
     _require_same_ratio(A, B)
     _require_same_kind(A, B)
@@ -183,10 +188,7 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
     acc = [zero] * (t * cols)
     for n, X in enumerate((A, B)):
         negate = subtract and n == 1
-        if exact:
-            plus = first_or_sum if n else None
-        else:
-            plus = operator.sub if negate else operator.add
+        plus = first_or_sum if exact else operator.sub if negate else operator.add
         rows, width = (1, t * cols) if X.rows == t else X.shape
         for i in range(rows):
             row = X.data[i * width : (i + 1) * width]
@@ -194,8 +196,12 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
                 continue
             if exact:
                 row = [(-v if negate else v) if v else zero for v in row]
+            elif not (n or all(row)):
+                row = [v or zero for v in row]
+            if n and X.rows == t:
+                return Matrix._trusted(t, cols, tuple(map(plus, acc, row)), A.scalar)
             for sl in _row_slices(i, rows, width, t // X.rows, right):
-                acc[sl] = row if plus is None else map(plus, acc[sl], row)
+                acc[sl] = map(plus, acc[sl], row) if n else row
     return Matrix._trusted(t, cols, tuple(acc), A.scalar)
 
 

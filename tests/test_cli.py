@@ -322,6 +322,16 @@ def test_matrix_file_data_must_be_a_json_array(capsys, tmp_path, data, wrap):
     assert error["error"] == "parse" and "data must be a JSON array" in error["message"]
 
 
+@pytest.mark.parametrize("terms", [{}, ""], ids=["object", "string"])
+def test_coordinates_file_terms_must_be_a_json_array(capsys, tmp_path, terms):
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps({"mu": "1", "terms": terms}))
+    code, out, err = run(capsys, "reconstruct", str(path))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "parse" and "terms must be a JSON array" in error["message"]
+
+
 def test_oversized_result_is_domain_error(capsys):
     # t = lcm(997, 991) = 988027: a 49550 x 49850 product, over the size budget
     a, b = json.dumps([[1] * 997] * 50), json.dumps([[1] * 50] * 991)

@@ -116,6 +116,15 @@ def test_coords_round_trip():
             coords_from_dict({"mu": mu, "terms": d["terms"]})
 
 
+@pytest.mark.parametrize("terms", [{}, "", {"1": 1}, None, 0],
+                         ids=["empty_object", "empty_string", "object", "null", "number"])
+def test_coords_terms_must_be_a_json_array(terms):
+    # an empty object or string iterates as no terms, which read as the zero class
+    with pytest.raises(ValueError, match="terms must be a JSON array"):
+        coords_from_dict({"mu": "1", "terms": terms})
+    assert coords_from_dict({"mu": "1", "terms": []}).terms == {}
+
+
 @pytest.mark.parametrize("term", [
     {"coeff": "1/0"}, {}, {"coeff": "1", "k": None},
     {"coeff": 0.1}, {"coeff": "1", "i": 1.9}, {"coeff": "1", "j1": "1"}, {"coeff": "1", "l": 1.0},

@@ -4,9 +4,12 @@ bit equality, allocation footprints and the size budget."""
 import math
 import operator
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from math import lcm
+from sys import getsizeof
 
 import pytest
 from hypothesis import given, strategies as st
@@ -397,6 +400,49 @@ def test_float_sums_match_references_but_never_return_negative_zero(pair):
             "0.0" if r == "-0.0" else r for r in map(repr, want.data)
         ], op.__name__
         assert "-0.0" not in map(repr, got.data)
+
+
+def _signed_zeros(n, zero, nonzero):
+    # n x n zeros but for a nonzero on the diagonal of every row but the last
+    return from_rows([[nonzero if j == i < n - 1 else zero for j in range(n)]
+                      for i in range(n)], FLOAT64)
+
+
+@pytest.mark.parametrize("m, p", [(2, 2), (2, 4), (4, 2), (2, 3)],
+                         ids=["both_unlifted", "first_lifted", "second_lifted", "both_lifted"])
+@pytest.mark.parametrize("b_nonzero", [2.0, None], ids=["second_nonzero", "second_all_zero"])
+def test_float_sums_never_return_negative_zero_on_any_layout(m, p, b_nonzero):
+    # A's -0.0 faces B's +0.0 in a difference and B's -0.0 in a sum, where
+    # the full lifts make -0.0; every such cell must come back as +0.0.
+    A = _signed_zeros(m, -0.0, 1.0)
+    for op, ref in SUMS:
+        zero = 0.0 if op in (lminus, rminus) else -0.0
+        B = _signed_zeros(p, zero, b_nonzero or zero)
+        got, want = op(A, B), ref(A, B)
+        assert "-0.0" in map(repr, want.data), op.__name__
+        assert [repr(v) for v in got.data] == [
+            "0.0" if r == "-0.0" else r for r in map(repr, want.data)
+        ], op.__name__
+        assert all(math.copysign(1.0, v) == 1.0 for v in got.data if v == 0), op.__name__
+
+
+@pytest.mark.parametrize("a", [1, 64])
+def test_float_difference_with_an_unlifted_operand_copies_no_entries(a):
+    # a x a - 128 x 128: A is placed, and one pass over B's entries builds
+    # the result, so the peak is the result's tuple and floats plus the
+    # one list of pointers A was placed in, and no copy of either.
+    rng = random.Random(113 + a)
+    A, B = _rand_float(rng, a, a), _rand_float(rng, 128, 128)
+    lminus(A, B)
+    tracemalloc.start()
+    try:
+        out = lminus(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = len(out.data)
+    own = getsizeof(out.data) + sum(map(getsizeof, out.data))
+    assert peak < 1.1 * (own + struct.calcsize("P") * cells)
 
 
 def test_float_sums_with_nonfinite_cells():
