@@ -5,18 +5,24 @@ Matrix JSON: {"rows": m, "cols": n, "scalar": "rational"|"float64",
 "num/den" strings (plain integers are accepted on input). A coordinates
 object's "terms" is a JSON array too. CSV holds one
 matrix row per line.
-Every entry, coefficient and ratio read goes through ``matrix.as_scalar``,
-so a float is never taken as a rational; shape and index fields must be
-JSON integers.
+Every entry, coefficient and ratio read follows ``matrix.as_scalar``, so
+a float is never taken as a rational; a matrix's entries are read by
+``matrix._scalars``, each distinct literal once. Shape and index fields
+must be JSON integers. Every reader raises ``ValueError`` for a bad
+entry. JSON output is the standard library's ``indent=2`` layout, byte
+for byte.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
+import sys
+from functools import partial
 
 from .basis import BasisElement, Coordinates
-from .matrix import FLOAT64, RATIONAL, Matrix, as_scalar, from_rows
+from .matrix import FLOAT64, RATIONAL, Matrix, _scalars, as_scalar, from_rows
 from .metric import GapReport
 from .quotient import MatrixClass, canonicalize
 
@@ -41,6 +47,16 @@ def matrix_to_dict(A: Matrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> Matrix:
+    """The matrix a dict states; a bad entry raises ValueError."""
+    try:
+        return _matrix_from_dict(d)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def _matrix_from_dict(d: dict) -> Matrix:
+    # A bad entry raises what as_scalar raises: TypeError for a null,
+    # array or object, ZeroDivisionError for "1/0".
     try:
         rows, cols, scalar, data = d["rows"], d["cols"], d["scalar"], d["data"]
     except (KeyError, TypeError) as exc:
@@ -49,8 +65,7 @@ def matrix_from_dict(d: dict) -> Matrix:
         raise ValueError(f"unknown scalar kind {scalar!r}")
     if not isinstance(data, list):
         raise ValueError(f"data must be a JSON array, got {type(data).__name__}")
-    entries = tuple(as_scalar(v, scalar) for v in data)
-    return Matrix(_integer(rows, "rows"), _integer(cols, "cols"), entries, scalar)
+    return Matrix(_integer(rows, "rows"), _integer(cols, "cols"), _scalars(data, scalar), scalar)
 
 
 def matrix_to_csv(A: Matrix) -> str:
@@ -59,7 +74,11 @@ def matrix_to_csv(A: Matrix) -> str:
 
 
 def matrix_from_csv(text: str, scalar: str = RATIONAL) -> Matrix:
-    return from_rows([line.split(",") for line in text.strip().splitlines()], scalar)
+    """The matrix of one CSV row per line; a bad entry raises ValueError."""
+    try:
+        return from_rows([line.split(",") for line in text.strip().splitlines()], scalar)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def class_to_dict(x: MatrixClass) -> dict:
@@ -72,7 +91,7 @@ def class_from_dict(d: dict) -> MatrixClass:
     wrong."""
     try:
         mu = as_scalar(d["mu"], RATIONAL)
-        rep = matrix_from_dict(d["rep"])
+        rep = _matrix_from_dict(d["rep"])
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"class object missing field or zero denominator: {exc}") from exc
     cls = MatrixClass(mu, rep)
@@ -127,7 +146,51 @@ def gap_reports_to_csv(reports: list[GapReport]) -> str:
     return "\n".join([GAP_CSV_HEADER, *rows]) + "\n"
 
 
+# The C function that writes every item of a list of one scalar type.
+_ESCAPE = json.encoder.encode_basestring_ascii
+_LEAVES = {str: _ESCAPE, int: int.__repr__, float: float.__repr__}
+
+
+def _indented(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` of a document of
+    dicts with string keys, lists, tuples and JSON scalars, as if it began
+    on a line indented by ``pad``. Containers are walked here and every
+    scalar is written by a C function, a list of one scalar type by one
+    ``map``."""
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        leaf = _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        if leaf is float.__repr__ and not all(map(math.isfinite, obj)):
+            leaf = None  # item by item, so the first NaN or infinity raises
+        items, ends = map(leaf, obj) if leaf else [_indented(v, inner) for v in obj], "[]"
+    elif isinstance(obj, dict):
+        items, ends = [f"{_ESCAPE(k)}: {_indented(v, inner)}" for k, v in obj.items()], "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
+# Python 3.13's json writes indent=2 in C, faster than _indented; before
+# 3.13 it writes it in pure Python, slower than _indented.
+_json_text = (partial(json.dumps, indent=2, allow_nan=False) if sys.version_info >= (3, 13)
+              else partial(_indented, pad=""))
+
+
 def dump_json(obj: dict) -> str:
-    """Strict JSON: a NaN or infinite float raises ValueError instead of
-    printing the non-standard ``NaN``/``Infinity`` tokens."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Strict JSON in the standard library's indent=2 layout: a NaN or
+    infinite float raises ValueError instead of printing the non-standard
+    ``NaN``/``Infinity`` tokens."""
+    return _json_text(obj) + "\n"

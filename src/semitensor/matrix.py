@@ -38,6 +38,8 @@ Scalar = Union[Fraction, float]
 _KIND_TYPES = {RATIONAL: Fraction, FLOAT64: float}
 _numerator, _denominator = attrgetter("_numerator"), attrgetter("_denominator")
 _parts = attrgetter("_numerator", "_denominator")
+# The value types a rational entry is read from without a refusal to check.
+_LITERAL_TYPES = frozenset((str, int))
 
 # Largest matrix, in entries, that an operation or constructor allocates.
 # Checked before any allocation; a bigger result raises ValueError (a
@@ -146,6 +148,21 @@ class Matrix:
         return f"[{body}]"
 
 
+def _scalars(values: Sequence, kind: str) -> tuple:
+    """``as_scalar`` of every value, in order, with the same result and
+    the same first error. Rational strings and ints build one ``Fraction``
+    per distinct literal, in the order they arrive, and cells share it (a
+    ``Fraction`` is immutable); floats without a bool are read in one
+    ``map``. Any other mix (a bool, a float as a rational) is read entry
+    by entry, so it meets ``as_scalar``'s refusals."""
+    if kind == RATIONAL and _LITERAL_TYPES.issuperset(map(type, values)):
+        read = {}
+        return tuple([read[v] if v in read else read.setdefault(v, Fraction(v)) for v in values])
+    if kind == FLOAT64 and bool not in map(type, values):
+        return tuple(map(float, values))
+    return tuple([as_scalar(v, kind) for v in values])
+
+
 def from_rows(rows: Sequence[Sequence], scalar: str = RATIONAL) -> Matrix:
     """Build a matrix from nested sequences, coercing entries."""
     if not rows:
@@ -153,8 +170,7 @@ def from_rows(rows: Sequence[Sequence], scalar: str = RATIONAL) -> Matrix:
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError("ragged rows")
-    data = tuple(as_scalar(v, scalar) for r in rows for v in r)
-    return Matrix(len(rows), n, data, scalar)
+    return Matrix(len(rows), n, _scalars([v for r in rows for v in r], scalar), scalar)
 
 
 def _zero(kind: str) -> Scalar:

@@ -207,7 +207,8 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
 
 def _require_same_ratio(A: Matrix, B: Matrix) -> None:
     # Addition across different ratios is undefined, not silently lifted.
-    if ratio_of(A) != ratio_of(B):
+    # Equal ratios cross-multiply to equal ints; Fractions only for the message.
+    if A.rows * B.cols != B.rows * A.cols:
         raise ValueError(
             f"semi-tensor addition needs equal row/column ratios, "
             f"got {ratio_of(A)} and {ratio_of(B)}"

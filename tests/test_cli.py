@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -330,6 +331,26 @@ def test_coordinates_file_terms_must_be_a_json_array(capsys, tmp_path, terms):
     assert (code, out) == (2, "")
     error = json.loads(err)
     assert error["error"] == "parse" and "terms must be a JSON array" in error["message"]
+
+
+def test_decompose_of_a_dense_12x12_stays_small(capsys, tmp_path):
+    # The 12x12 has few distinct literals, each read once and shared, and its
+    # coordinates are written without the pure-Python encoder's chunk lists
+    # (about 240 KiB at the peak before, about 110 KiB after, on Python 3.11).
+    rng = random.Random(12)
+    path = tmp_path / "d12.csv"
+    path.write_text("".join(
+        ",".join(str(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3)))
+                 for _ in range(12)) + "\n" for _ in range(12)))
+    assert run(capsys, "decompose", str(path))[0] == 0  # the parser is built once, here
+    tracemalloc.start()
+    try:
+        code = main(["decompose", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(capsys.readouterr().out) > 10_000
+    assert peak < 160 * 1024
 
 
 def test_oversized_result_is_domain_error(capsys):

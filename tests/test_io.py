@@ -1,24 +1,30 @@
 """Serialization round trips for every file schema."""
 
+import json
 import random
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import as_matrix, rand_matrix
 
-from semitensor import FLOAT64, canonicalize, decompose_class, from_rows
+from semitensor import FLOAT64, RATIONAL, Matrix, canonicalize, decompose_class, from_rows
 from semitensor.io import (
+    _indented,
     class_from_dict,
     class_to_dict,
     coords_from_dict,
     coords_to_dict,
+    dump_json,
     gap_reports_to_csv,
     matrix_from_csv,
     matrix_from_dict,
     matrix_to_csv,
     matrix_to_dict,
 )
+from semitensor.matrix import as_scalar
 from semitensor.metric import GapReport
 
 
@@ -142,3 +148,97 @@ def test_gap_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "n,rows,cols,gap_measured,gap_predicted,rel_err"
     assert lines[1].startswith("1,1,2,0.25,0.25,")
+
+
+@pytest.mark.parametrize("entry, message", [
+    (None, "argument should be a string or a Rational instance"),
+    ([1], "argument should be a string or a Rational instance"),
+    ({"a": 1}, "argument should be a string or a Rational instance"),
+    ("1/0", "Fraction(1, 0)"),
+], ids=["null", "array", "object", "zero_denominator"])
+def test_matrix_readers_raise_value_error_for_every_bad_entry(entry, message):
+    # the class and coordinates readers raise ValueError too; the message is the entry's own
+    with pytest.raises(ValueError) as exc:
+        matrix_from_dict({"rows": 1, "cols": 2, "scalar": "rational", "data": ["1", entry]})
+    assert str(exc.value) == message
+    assert isinstance(exc.value.__cause__, (TypeError, ZeroDivisionError))
+    if isinstance(entry, str):
+        with pytest.raises(ValueError) as exc:
+            matrix_from_csv(f"1,{entry}\n")
+        assert str(exc.value) == message
+
+
+# Values each reader must read as as_scalar does, repeats among them: literals
+# every kind reads, literals one kind or none reads, and values no literal is.
+_GOOD = st.sampled_from([" 1/2 ", "+3", "-0", "6/4", "3/2", "1_000", "\u0661\u0662", 0, 3, -7, 10**20])
+_STRINGS = _GOOD | st.sampled_from(["1.5e3", "1/0", "x", "", "nan"]) | st.text("0123456789/-+ ._ex", max_size=5)
+_LITERALS = _STRINGS | st.sampled_from([True, False, 0.5, -0.0, None, [1], 10**400]) | st.integers() | st.floats()
+
+
+def _outcome(read):
+    try:
+        return repr(read())
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _as_value_error(outcome):
+    # what a library reader raises where as_scalar raises TypeError or ZeroDivisionError
+    if isinstance(outcome, tuple) and outcome[0] in (TypeError, ZeroDivisionError):
+        return ValueError, outcome[1]
+    return outcome
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from([RATIONAL, FLOAT64]), st.data())
+def test_matrix_readers_read_every_entry_as_as_scalar_does(m, n, kind, data):
+    pool = data.draw(st.sampled_from([_GOOD, _STRINGS, _LITERALS]))
+    values = data.draw(st.lists(pool, min_size=m * n, max_size=m * n))
+    rows = [values[i * n:(i + 1) * n] for i in range(m)]
+    want = _outcome(lambda: Matrix(m, n, tuple(as_scalar(v, kind) for v in values), kind))
+    assert _outcome(lambda: from_rows(rows, kind)) == want
+    doc = {"rows": m, "cols": n, "scalar": kind, "data": values}
+    assert _outcome(lambda: matrix_from_dict(doc)) == _as_value_error(want)
+    if all(isinstance(v, str) for v in values):
+        text = "".join(",".join(r) + "\n" for r in rows)
+        if [line.split(",") for line in text.strip().splitlines()] == rows:  # the same fields
+            assert _outcome(lambda: matrix_from_csv(text, kind)) == _as_value_error(want)
+
+
+def test_rational_cells_share_one_fraction_per_distinct_literal():
+    A = from_rows([["1/2", "2/4", "1/2"], [3, 3, "3"]])
+    assert A.data == (Fraction(1, 2),) * 3 + (Fraction(3),) * 3
+    assert A.data[0] is A.data[2] and A.data[0] is not A.data[1]
+    assert A.data[3] is A.data[4] and A.data[3] is not A.data[5]
+
+
+_TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600"])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308])
+_INTS = st.integers() | st.integers(-10**60, 10**60)
+_LEAVES = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+_DOCUMENTS = st.recursive(
+    _LEAVES | st.lists(_TEXT) | st.lists(_INTS) | st.lists(_FLOATS),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_DOCUMENTS)
+def test_indented_writes_the_standard_library_layout(obj):
+    want = json.dumps(obj, indent=2, allow_nan=False)
+    assert _indented(obj, "") == want
+    if isinstance(obj, dict):
+        assert dump_json(obj) == want + "\n"
+
+
+@pytest.mark.parametrize("bad", [nan, inf, -inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("place", [
+    lambda x: x, lambda x: [1.0, x, 2.0], lambda x: [1, "a", x], lambda x: {"a": [{"b": x}]},
+], ids=["bare", "float_list", "mixed_list", "nested"])
+def test_indented_refuses_non_finite_floats_as_the_standard_library_does(bad, place):
+    with pytest.raises(ValueError) as want:
+        json.dumps(place(bad), indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        _indented(place(bad), "")
+    assert str(got.value) == str(want.value)
