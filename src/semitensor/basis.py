@@ -7,7 +7,10 @@ A general unit with gcd > 1 telescopes into such elements through greedy
 gcd chains: the plus-chain walks j down to 0 in steps f_n = gcd(i, rest),
 the minus-chain walks j-1 down to 0, and the signed sum of the emitted
 coprime units reproduces the original unit after lifting. Coordinates
-run all of a class's chains at once, as integer weights on diagonals.
+run all of a class's chains at once, as integer weights on diagonals:
+the representative's stored ints, over its one denominator, which the
+coordinates take back as ``Fraction``s; ``reconstruct`` builds the
+stored ints of its class directly.
 
 Because these classes form a basis, decompose_class is an exact linear
 isomorphism onto finite-support coordinates. Span and independence
@@ -23,8 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
+from types import MappingProxyType
+from typing import Mapping
 
-from .matrix import RATIONAL, Matrix, _check_budget, _denominator, _numerator, as_scalar
+from .matrix import RATIONAL, _check_budget, _integers, _result, as_scalar
 from .quotient import MatrixClass, zero_class
 from .stp import _row_slices
 
@@ -79,35 +84,44 @@ class BasisElement:
         return (self.i, self.j1, self.j2, self.k, self.l)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Coordinates:
     """Finite-support expansion of a class over basis elements.
 
     Only nonzero rational coefficients are stored, all keys share mu; each
-    passes ``as_scalar(c, RATIONAL)`` (an int is made a Fraction).
+    passes ``as_scalar(c, RATIONAL)`` (an int is made a Fraction). ``terms``
+    is a read-only view of the checked copy, so a value checked once
+    stays as checked; ``repr`` shows it as the dict it holds.
     """
 
     mu: Fraction
-    terms: dict[BasisElement, Fraction] = field(default_factory=dict)
+    terms: Mapping[BasisElement, Fraction] = field(default_factory=dict)
+
+    __hash__ = None  # terms is a mapping
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError(f"ratio must be positive, got {self.mu}")
-        if any(type(c) is not Fraction for c in self.terms.values()):
-            self.terms = {e: as_scalar(c, RATIONAL) for e, c in self.terms.items()}
-        for e, c in self.terms.items():
+        terms = {e: c if type(c) is Fraction else as_scalar(c, RATIONAL)
+                 for e, c in self.terms.items()}
+        for e, c in terms.items():
             if e.mu != self.mu:
                 raise ValueError(f"term {e} has ratio {e.mu}, expected {self.mu}")
             if c == 0:
                 raise ValueError("zero coefficients must not be stored")
+        object.__setattr__(self, "terms", MappingProxyType(terms))
 
     @classmethod
     def _trusted(cls, mu: Fraction, terms: dict[BasisElement, Fraction]) -> Coordinates:
         """Coordinates of these terms, built with no check: the caller has
-        made sure each is a nonzero Fraction on an element of ratio mu > 0."""
+        made sure each is a nonzero Fraction on an element of ratio mu > 0,
+        and hands the dict over."""
         self = object.__new__(cls)
-        self.__dict__.update(mu=mu, terms=terms)
+        self.__dict__.update(mu=mu, terms=MappingProxyType(terms))
         return self
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(mu={self.mu!r}, terms={dict(self.terms)!r})"
 
 
 def unit_class(e: BasisElement) -> MatrixClass:
@@ -161,18 +175,12 @@ def _carry(k0: int, cols: int, entries) -> dict[tuple[int, ...], int]:
 
 
 def _coordinates(x: MatrixClass) -> dict[tuple[int, ...], Fraction]:
-    # Coordinates keyed by sort_key: the nonzero entries (found in C by the
-    # numerator slot getter) as ints over d, the lcm of their denominators,
-    # carried; one Fraction per distinct value.
-    data = x.rep.data
-    nonzero = [(idx, data[idx]) for idx in compress(count(), map(_numerator, data))]
-    d = lcm(*[_denominator(v) for _, v in nonzero])
-    values, ints = {}, []
-    for idx, v in nonzero:
-        w = _numerator(v) * (d // _denominator(v))
-        values[w] = v
-        ints.append((idx, w))
-    coords = _carry(x.k0, x.rep.cols, ints)
+    # Coordinates keyed by sort_key: the nonzero stored ints (found in C)
+    # carried, then over the representative's denominator, one Fraction
+    # per distinct value.
+    ints, d = _integers(x.rep)
+    coords = _carry(x.k0, x.rep.cols, zip(compress(count(), ints), filter(None, ints)))
+    values = {}
     for key, w in coords.items():
         coords[key] = values[w] if w in values else values.setdefault(w, Fraction(w, d))
     return coords
@@ -195,23 +203,23 @@ def reconstruct(c: Coordinates) -> MatrixClass:
 
     Built in one pass at the canonical level L = lcm of the term sizes
     (a peel would give other coordinates, which are unique), after its
-    size is checked against the budget: each coefficient goes into the
-    L/i lifted positions of its unit, placed by ``_row_slices``.
+    size is checked against the budget: each coefficient, an int over
+    the lcm d of the coefficients' denominators, goes into the L/i
+    lifted positions of its unit, placed by ``_row_slices``.
     """
     if not c.terms:
         return zero_class(c.mu)
     p, q = c.mu.numerator, c.mu.denominator
     L = lcm(*(e.i for e in c.terms))
     _check_budget(p * L, q * L)
-    zero = Fraction(0)
-    acc = [zero] * (p * q * L * L)
+    d = lcm(*(coeff.denominator for coeff in c.terms.values()))
+    acc = [0] * (p * q * L * L)
     for e, coeff in c.terms.items():
-        s = L // e.i
+        w, s = coeff.numerator * (d // coeff.denominator), L // e.i
         col = (e.l - 1) * e.i + e.j2 - 1
         for sl in _row_slices((e.k - 1) * e.i + e.j1 - 1, p * e.i, q * e.i, s):
-            pos = sl.start + col * s
-            acc[pos] = coeff if acc[pos] is zero else acc[pos] + coeff
-    return MatrixClass(c.mu, Matrix._trusted(p * L, q * L, tuple(acc), RATIONAL))
+            acc[sl.start + col * s] += w
+    return MatrixClass(c.mu, _result(p * L, q * L, tuple(acc), d, RATIONAL))
 
 
 def _eliminate(pivots: dict, v: dict[tuple[int, ...], Fraction]) -> bool:

@@ -79,7 +79,7 @@ def _load_matrix(arg: str, scalar: str) -> Matrix:
                 A = sio.class_from_dict(d).rep if "rep" in d else sio.matrix_from_dict(d)
             else:
                 A = sio.matrix_from_csv(text, scalar)
-    except (OSError, ValueError, TypeError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, ArithmeticError, TypeError) as exc:
         raise _ParseFailure(f"cannot read matrix from {arg!r}: {exc}") from exc
     if A.scalar == FLOAT64 and not all(math.isfinite(v) for v in A.data):
         raise _ParseFailure(f"matrix from {arg!r} has a NaN or infinite entry")
@@ -96,14 +96,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_finite(values, kind: str) -> None:
+def _require_finite(values) -> None:
     """Refuse a float result holding NaN or an infinity, which JSON and CSV cannot write."""
-    if kind == FLOAT64 and not all(map(math.isfinite, values)):
+    if not all(map(math.isfinite, values)):
         raise ValueError("result has a NaN or infinite value, which JSON and CSV output refuse")
 
 
 def _emit_matrix(A: Matrix, args) -> None:
-    _require_finite(A.data, A.scalar)
+    if A.scalar == FLOAT64:
+        _require_finite(A.data)
     text = sio.matrix_to_csv(A) if args.format == "csv" else sio.dump_json(sio.matrix_to_dict(A))
     _emit(text, args.out)
 
@@ -198,11 +199,14 @@ def _run(args) -> None:
         x, y = (_to_class(_load_matrix(m, args.scalar), tol) for m in (args.a, args.b))
         if verb == "bracket":
             z = lie_bracket(x, y, tol)
-            values, result = z.rep.data, sio.class_to_dict(z)
+            result = sio.class_to_dict(z)
+            if z.scalar == FLOAT64:
+                _require_finite(z.rep.data)
         else:
             v = inner(x, y) if verb == "inner" else dist(x, y, tol)
-            values, result = (v,), _scalar_json(v)
-        _require_finite(values, x.scalar)
+            result = _scalar_json(v)
+            if x.scalar == FLOAT64:
+                _require_finite((v,))
         _emit(sio.dump_json(result), args.out)
     elif verb == "canon":
         x = _to_class(_load_matrix(args.a, args.scalar), tol)

@@ -7,10 +7,12 @@ object's "terms" is a JSON array too. CSV holds one
 matrix row per line.
 Every entry, coefficient and ratio read follows ``matrix.as_scalar``, so
 a float is never taken as a rational; a matrix's entries are read by
-``matrix._scalars``, each distinct literal once. Shape and index fields
-must be JSON integers. Every reader raises ``ValueError`` for a bad
-entry. JSON output is the standard library's ``indent=2`` layout, byte
-for byte.
+``matrix._read``, each distinct literal once, straight to the stored
+ints. Shape and index fields must be JSON integers. Every reader raises
+``ValueError`` for a bad entry, and the class and coordinates readers
+name the field and the value. A rational matrix is written from its
+stored ints, one string per distinct value. JSON output is the standard
+library's ``indent=2`` layout, byte for byte.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import math
 import operator
 import sys
 from functools import partial
+from math import gcd
 
 from .basis import BasisElement, Coordinates
-from .matrix import FLOAT64, RATIONAL, Matrix, _scalars, as_scalar, from_rows
+from .matrix import FLOAT64, RATIONAL, Matrix, _integers, _read, as_scalar, from_rows
 from .metric import GapReport
 from .quotient import MatrixClass, canonicalize
 
@@ -37,26 +40,48 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from exc
 
 
+def _strings(A: Matrix) -> list[str]:
+    # str of every entry of a rational A, as its Fraction prints ("n" or
+    # "n/d"), from the stored ints: one string per distinct value.
+    ints, d = _integers(A)
+    text = {}
+    for v in set(ints):
+        g = gcd(v, d)
+        text[v] = str(v // g) if g == d else f"{v // g}/{d // g}"
+    return list(map(text.__getitem__, ints))
+
+
 def matrix_to_dict(A: Matrix) -> dict:
     return {
         "rows": A.rows,
         "cols": A.cols,
         "scalar": A.scalar,
-        "data": [str(v) for v in A.data] if A.scalar == RATIONAL else list(A.data),
+        "data": _strings(A) if A.scalar == RATIONAL else list(A.data),
     }
+
+
+# What as_scalar raises for a value no number is read from, besides
+# ValueError: TypeError for a null, array or object, ZeroDivisionError for
+# "1/0", OverflowError for an int too large for a float.
+_UNREADABLE = (TypeError, ZeroDivisionError, OverflowError)
 
 
 def matrix_from_dict(d: dict) -> Matrix:
     """The matrix a dict states; a bad entry raises ValueError."""
     try:
         return _matrix_from_dict(d)
-    except (TypeError, ZeroDivisionError) as exc:
+    except _UNREADABLE as exc:
         raise ValueError(str(exc)) from exc
 
 
+def _bad_value(where: str, field: str, value, exc: Exception) -> ValueError:
+    # The error of a field whose value as_scalar refuses, naming both.
+    why = "zero denominator" if isinstance(exc, ZeroDivisionError) else str(exc)
+    return ValueError(f"{where}: bad {field} {value!r} ({why})")
+
+
 def _matrix_from_dict(d: dict) -> Matrix:
-    # A bad entry raises what as_scalar raises: TypeError for a null,
-    # array or object, ZeroDivisionError for "1/0".
+    # A bad entry raises what as_scalar raises: ValueError or _UNREADABLE.
     try:
         rows, cols, scalar, data = d["rows"], d["cols"], d["scalar"], d["data"]
     except (KeyError, TypeError) as exc:
@@ -65,11 +90,12 @@ def _matrix_from_dict(d: dict) -> Matrix:
         raise ValueError(f"unknown scalar kind {scalar!r}")
     if not isinstance(data, list):
         raise ValueError(f"data must be a JSON array, got {type(data).__name__}")
-    return Matrix(_integer(rows, "rows"), _integer(cols, "cols"), _scalars(data, scalar), scalar)
+    return _read(_integer(rows, "rows"), _integer(cols, "cols"), data, scalar)
 
 
 def matrix_to_csv(A: Matrix) -> str:
-    lines = [",".join(map(str, A.row(i))) for i in range(A.rows)]
+    cells, cols = _strings(A) if A.scalar == RATIONAL else list(map(str, A.data)), A.cols
+    lines = [",".join(cells[i * cols : (i + 1) * cols]) for i in range(A.rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -90,16 +116,34 @@ def class_from_dict(d: dict) -> MatrixClass:
     under exact comparison, or the stated k0 and the pairing would be
     wrong."""
     try:
-        mu = as_scalar(d["mu"], RATIONAL)
-        rep = _matrix_from_dict(d["rep"])
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"class object missing field or zero denominator: {exc}") from exc
+        mu, rep = d["mu"], d["rep"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"class object missing field: {exc}") from exc
+    try:
+        mu = as_scalar(mu, RATIONAL)
+    except _UNREADABLE as exc:
+        raise _bad_value("class object", "mu", mu, exc) from exc
+    try:
+        rep = _matrix_from_dict(rep)
+    except _UNREADABLE as exc:
+        entry = next(v for v in rep["data"] if _refused(v, rep["scalar"]))
+        raise _bad_value("class object", "rep.data entry", entry, exc) from exc
     cls = MatrixClass(mu, rep)
     if canonicalize(rep, rtol=0.0).rep.shape != rep.shape:
         raise ValueError(f"representative of shape {rep.shape} is reducible")
     if "k0" in d and _integer(d["k0"], "k0") != cls.k0:
         raise ValueError(f"stated k0={d['k0']} disagrees with rep shape {rep.shape}")
     return cls
+
+
+def _refused(value, kind: str) -> bool:
+    # Whether as_scalar raises one of _UNREADABLE for value; called on the
+    # entries before the one a read failed on, which raise nothing.
+    try:
+        as_scalar(value, kind)
+    except _UNREADABLE:
+        return True
+    return False
 
 
 def element_to_dict(e: BasisElement) -> dict:
@@ -114,21 +158,31 @@ def coords_to_dict(c: Coordinates) -> dict:
     return {"mu": str(c.mu), "terms": terms}
 
 
+_TERM_FIELDS = ("k", "l", "i", "j1", "j2", "coeff")
+
+
 def coords_from_dict(d: dict) -> Coordinates:
     try:
-        mu = as_scalar(d["mu"], RATIONAL)
-        raw = d["terms"]
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"coordinates object missing field or zero denominator: {exc}") from exc
+        mu, raw = d["mu"], d["terms"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"coordinates object missing field: {exc}") from exc
+    try:
+        mu = as_scalar(mu, RATIONAL)
+    except _UNREADABLE as exc:
+        raise _bad_value("coordinates object", "mu", mu, exc) from exc
     if not isinstance(raw, list):
         raise ValueError(f"terms must be a JSON array, got {type(raw).__name__}")
     terms = {}
     for t in raw:
         try:
-            e = BasisElement(mu, *(_integer(t[key], key) for key in ("k", "l", "i", "j1", "j2")))
-            coeff = as_scalar(t["coeff"], RATIONAL)
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad term {t} (missing field or zero denominator)") from exc
+            *indices, coeff = (t[key] for key in _TERM_FIELDS)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"term {t} missing field: {exc}") from exc
+        e = BasisElement(mu, *map(_integer, indices, _TERM_FIELDS))
+        try:
+            coeff = as_scalar(coeff, RATIONAL)
+        except _UNREADABLE as exc:
+            raise _bad_value(f"term {t}", "coeff", coeff, exc) from exc
         if e in terms:
             raise ValueError(f"duplicate term {t}")
         if ("kind" in t) and t["kind"] != e.kind:

@@ -1,19 +1,24 @@
 """Dense matrices over exact rationals or binary64 floats.
 
-Entries live in a flat row-major tuple. Exact mode keeps every entry a
-``Fraction`` (lowest terms for free); float mode stores binary64 and all
-tolerant comparisons go through a relative tolerance with an absolute
-floor. Every value is immutable, every operation is a pure function.
-Every constructor that sizes its result from its arguments (``zeros``,
-``identity``, ``kron``) checks it against one size budget,
-``_MAX_ENTRIES``, before anything is allocated.
+Entries live in a flat row-major tuple. Exact mode stores a matrix as a
+private tuple of ints over one positive denominator, kept reduced: the
+gcd of the denominator and all the ints is 1, so one value has one
+stored form, and ``==``, ``hash`` and every kernel read the ints. The
+public ``data``, a tuple of ``Fraction``s, is built on its first read,
+one ``Fraction`` per distinct value, and kept. Float mode stores
+binary64 and all tolerant comparisons go through a relative tolerance
+with an absolute floor. Every value is immutable, every operation is a
+pure function. Every constructor that sizes its result from its
+arguments (``zeros``, ``identity``, ``kron``) checks it against one size
+budget, ``_MAX_ENTRIES``, before anything is allocated.
 
 Entries are checked once, at the boundary: the public ``Matrix(...)``
 (and so ``dataclasses.replace``), ``from_rows`` and ``io``'s readers
 check the shape, the kind and the type of every entry. A matrix the
 library builds from entries of matrices already checked, or from
-arguments it has checked itself, is made by ``Matrix._trusted``, which
-runs no check again.
+arguments it has checked itself, is made by ``Matrix._floats`` or
+``Matrix._exact``, which run no check again, or by ``_result``, which
+reduces exact ints first.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import inf
-from operator import attrgetter
+from math import gcd, inf, lcm
+from operator import attrgetter, floordiv
 from typing import Sequence, Union
 
 RATIONAL = "rational"
@@ -84,15 +89,27 @@ def scalar_eq(a: Scalar, b: Scalar, kind: str, rtol: float | None = None) -> boo
     return a == b or ((d := abs(a - b)) < inf and d <= max(rtol * max(abs(a), abs(b)), ABS_FLOOR))
 
 
-def _entry_type(rows: int, cols: int, scalar: str) -> type:
+def _check_shape(rows: int, cols: int, length: int, scalar: str) -> type:
     # The entry type of a rows x cols matrix of kind scalar; refuses a
-    # shape that is not positive and an unknown kind.
+    # shape that is not positive, an unknown kind and a length of entries
+    # other than rows * cols.
     if rows < 1 or cols < 1:
         raise ValueError(f"shape must be positive, got {rows}x{cols}")
     kind_type = _KIND_TYPES.get(scalar)
     if kind_type is None:
         raise ValueError(f"unknown scalar kind {scalar!r}")
+    if length != rows * cols:
+        raise ValueError(f"data length {length} != {rows}*{cols}")
     return kind_type
+
+
+def _over_lcm(values) -> tuple[tuple, int]:
+    # Fractions as ints over d, the lcm of their denominators, and d: the
+    # reduced stored form, since an entry whose denominator holds the
+    # highest power of a prime in d has a numerator and a cofactor free of it.
+    dens = list(map(_denominator, values))
+    d = lcm(*dens)
+    return tuple([n * (d // e) for n, e in zip(map(_numerator, values), dens)]), d
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,10 @@ class Matrix:
 
     The constructor checks that the shape is positive, that ``data`` holds
     rows * cols entries and that each is of the kind's type (``Fraction``
-    or ``float``). ``_trusted`` builds the same value with no check.
+    or ``float``), and stores a rational matrix's ints over their lcm.
+    ``_floats`` and ``_exact`` build a value with no check. An exact
+    matrix ``_exact`` builds gets its ``data`` on first read
+    (``_ExactData``).
     """
 
     rows: int
@@ -110,24 +130,46 @@ class Matrix:
     scalar: str = RATIONAL
 
     def __post_init__(self):
-        kind_type = _entry_type(self.rows, self.cols, self.scalar)
-        if len(self.data) != self.rows * self.cols:
-            raise ValueError(
-                f"data length {len(self.data)} != {self.rows}*{self.cols}"
-            )
+        kind_type = _check_shape(self.rows, self.cols, len(self.data), self.scalar)
         if not all(map(isinstance, self.data, repeat(kind_type))):
             raise ValueError(f"{self.scalar} matrix entries must be {kind_type.__name__}")
+        if self.scalar == RATIONAL:
+            self.__dict__["_ints"], self.__dict__["_den"] = _over_lcm(self.data)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, data: tuple, scalar: str) -> Matrix:
-        """The matrix of these fields, built with no check: rows and cols
-        positive, scalar a known kind, and data a tuple of rows * cols
-        entries of its type, which the caller has made sure of. Call it
-        through the class, ``Matrix._trusted(...)``, so that a wrapper set
-        on the class (the tests' entry counter) sees every call."""
+    def _floats(cls, rows: int, cols: int, data: tuple) -> Matrix:
+        """The float64 matrix of these entries, built with no check: rows
+        and cols positive and data a tuple of rows * cols floats, which
+        the caller has made sure of. Call it, and ``_exact``, through the
+        class, ``Matrix._floats(...)``, so that a wrapper set on the class
+        (the tests' entry counter) sees every call."""
         self = object.__new__(cls)
-        self.__dict__.update(rows=rows, cols=cols, data=data, scalar=scalar)
+        self.__dict__.update(rows=rows, cols=cols, data=data, scalar=FLOAT64)
         return self
+
+    @classmethod
+    def _exact(cls, rows: int, cols: int, ints: tuple, d: int) -> Matrix:
+        """The rational matrix of ints over d, built with no check: rows
+        and cols positive, ints a tuple of rows * cols ints and d > 0 with
+        gcd(d, *ints) = 1, which the caller has made sure of."""
+        self = object.__new__(cls)
+        self.__dict__.update(rows=rows, cols=cols, scalar=RATIONAL, _ints=ints, _den=d)
+        return self
+
+    def _key(self) -> tuple:
+        # What == and hash compare: an exact matrix's stored form, which
+        # is one per value, or a float one's entries.
+        if self.scalar == RATIONAL:
+            return self.rows, self.cols, self._ints, self._den
+        return self.rows, self.cols, self.data, self.scalar
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -148,19 +190,75 @@ class Matrix:
         return f"[{body}]"
 
 
-def _scalars(values: Sequence, kind: str) -> tuple:
-    """``as_scalar`` of every value, in order, with the same result and
-    the same first error. Rational strings and ints build one ``Fraction``
-    per distinct literal, in the order they arrive, and cells share it (a
-    ``Fraction`` is immutable); floats without a bool are read in one
-    ``map``. Any other mix (a bool, a float as a rational) is read entry
-    by entry, so it meets ``as_scalar``'s refusals."""
-    if kind == RATIONAL and _LITERAL_TYPES.issuperset(map(type, values)):
-        read = {}
-        return tuple([read[v] if v in read else read.setdefault(v, Fraction(v)) for v in values])
-    if kind == FLOAT64 and bool not in map(type, values):
-        return tuple(map(float, values))
-    return tuple([as_scalar(v, kind) for v in values])
+class _ExactData:
+    """``Matrix.data`` where the instance holds none: an exact matrix
+    built from ints, whose entries are made on first read, one
+    ``Fraction`` per distinct value, and kept in the instance, which then
+    answers every later read. It has no ``__set__``, so every other read
+    of a ``Matrix`` attribute stays a plain instance lookup."""
+
+    def __get__(self, A, owner=None):
+        if A is None:
+            return self
+        ints, d = A._ints, A._den
+        value = {v: Fraction(v, d) for v in set(ints)}
+        data = A.__dict__["data"] = tuple(map(value.__getitem__, ints))
+        return data
+
+
+# Set once the dataclass is made, which would take it for data's default.
+Matrix.data = _ExactData()
+
+
+def _integers(A: Matrix) -> tuple[tuple, int]:
+    """A's entries as the kernels multiply and add them, over one
+    denominator d; and d. A rational matrix's stored ints over its
+    denominator; a float one's entries as they are, d = 1."""
+    if A.scalar == RATIONAL:
+        return A._ints, A._den
+    return A.data, 1
+
+
+def _result(rows: int, cols: int, cells: tuple, d: int, kind: str) -> Matrix:
+    """The matrix a kernel computed: float cells as they are, or int cells
+    over d, reduced by g = gcd(d, *cells). A fold of gcd from d sheds d's
+    factors a few cells at a time, each step a gcd of numbers as long as
+    d; so g is first sought as gcd(d, sum of the cells), a multiple of it,
+    which is 1 for most results and leaves the fold a short number if
+    not. Both read the nonzero cells only, gathered in one C-level pass."""
+    if kind != RATIONAL:
+        return Matrix._floats(rows, cols, cells)
+    if d != 1:
+        nonzero = list(filter(None, cells))
+        if (g := gcd(d, sum(nonzero))) != 1 and (g := gcd(g, *nonzero)) != 1:
+            cells, d = tuple(map(floordiv, cells, repeat(g))), d // g
+    return Matrix._exact(rows, cols, cells, d)
+
+
+def _read(rows: int, cols: int, values: Sequence, kind: str) -> Matrix:
+    """The rows x cols matrix of ``as_scalar`` of every value, in order,
+    with the same first error, then the checks of ``Matrix(...)``.
+    ``Fraction``s are read by their slots, rational strings and ints one
+    ``Fraction`` per distinct literal, in the order they arrive, both
+    straight to ints over the lcm of their denominators; floats without
+    a bool are read in one ``map``. Any other mix (a bool, a float as a
+    rational) is read entry by entry, so it meets ``as_scalar``'s
+    refusals."""
+    types = set(map(type, values))
+    if kind == RATIONAL and types == {Fraction}:
+        ints, d = _over_lcm(values)
+    elif kind == RATIONAL and _LITERAL_TYPES.issuperset(types):
+        literals = dict.fromkeys(values)
+        distinct, d = _over_lcm([Fraction(v) for v in literals])
+        ints = tuple(map(dict(zip(literals, distinct)).__getitem__, values))
+    elif kind == FLOAT64 and bool not in types:
+        data = tuple(map(float, values))
+        _check_shape(rows, cols, len(data), kind)
+        return Matrix._floats(rows, cols, data)
+    else:
+        return Matrix(rows, cols, tuple([as_scalar(v, kind) for v in values]), kind)
+    _check_shape(rows, cols, len(ints), kind)
+    return Matrix._exact(rows, cols, ints, d)
 
 
 def from_rows(rows: Sequence[Sequence], scalar: str = RATIONAL) -> Matrix:
@@ -170,25 +268,20 @@ def from_rows(rows: Sequence[Sequence], scalar: str = RATIONAL) -> Matrix:
     n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError("ragged rows")
-    return Matrix(len(rows), n, _scalars([v for r in rows for v in r], scalar), scalar)
-
-
-def _zero(kind: str) -> Scalar:
-    return Fraction(0) if kind == RATIONAL else 0.0
+    return _read(len(rows), n, [v for r in rows for v in r], scalar)
 
 
 def zeros(m: int, n: int, scalar: str = RATIONAL) -> Matrix:
     _check_budget(m, n)
-    _entry_type(m, n, scalar)
-    return Matrix._trusted(m, n, (_zero(scalar),) * (m * n), scalar)
+    _check_shape(m, n, m * n, scalar)
+    return _result(m, n, (0 if scalar == RATIONAL else 0.0,) * (m * n), 1, scalar)
 
 
 def identity(n: int, scalar: str = RATIONAL) -> Matrix:
     _check_budget(n, n)
-    _entry_type(n, n, scalar)
-    z, o = _zero(scalar), Fraction(1) if scalar == RATIONAL else 1.0
-    data = tuple(o if i == j else z for i in range(n) for j in range(n))
-    return Matrix._trusted(n, n, data, scalar)
+    _check_shape(n, n, n * n, scalar)
+    z, o = (0, 1) if scalar == RATIONAL else (0.0, 1.0)
+    return _result(n, n, tuple(o if i == j else z for i in range(n) for j in range(n)), 1, scalar)
 
 
 def _require_same_kind(A: Matrix, B: Matrix) -> None:
@@ -201,26 +294,32 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     _require_same_kind(A, B)
     m, n, p, q = A.rows, A.cols, B.rows, B.cols
     _check_budget(m * p, n * q)
+    (a, da), (b, db) = _integers(A), _integers(B)
     out = [None] * (m * p * n * q)
     ocols = n * q
     for i in range(m):
         for j in range(n):
-            a = A.data[i * n + j]
+            v = a[i * n + j]
             for r in range(p):
                 base = (i * p + r) * ocols + j * q
-                out[base : base + q] = [a * b for b in B.data[r * q : (r + 1) * q]]
-    return Matrix._trusted(m * p, n * q, tuple(out), A.scalar)
+                out[base : base + q] = [v * w for w in b[r * q : (r + 1) * q]]
+    return _result(m * p, n * q, tuple(out), da * db, A.scalar)
 
 
 def scale(c, A: Matrix) -> Matrix:
     c = as_scalar(c, A.scalar)
-    return Matrix._trusted(A.rows, A.cols, tuple(c * v for v in A.data), A.scalar)
+    if A.scalar != RATIONAL:
+        return Matrix._floats(A.rows, A.cols, tuple(c * v for v in A.data))
+    n, e = _parts(c)
+    return _result(A.rows, A.cols, tuple([n * v for v in A._ints]), A._den * e, RATIONAL)
 
 
 def eq_within(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:
     """Same shape and kind, entries equal (exactly, or within tolerance)."""
     if A.scalar != B.scalar or A.shape != B.shape:
         return False
+    if A.scalar == RATIONAL:
+        return A == B
     return all(scalar_eq(a, b, A.scalar, rtol) for a, b in zip(A.data, B.data))
 
 
@@ -228,5 +327,5 @@ def to_rational(A: Matrix, max_denominator: int = 10**12) -> Matrix:
     """Rationalize a float64 matrix, bounding denominators explicitly."""
     if A.scalar == RATIONAL:
         return A
-    data = tuple(Fraction(v).limit_denominator(max_denominator) for v in A.data)
-    return Matrix._trusted(A.rows, A.cols, data, RATIONAL)
+    ints, d = _over_lcm([Fraction(v).limit_denominator(max_denominator) for v in A.data])
+    return Matrix._exact(A.rows, A.cols, ints, d)

@@ -25,9 +25,9 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .matrix import FLOAT64, Matrix, _check_budget, _require_same_kind
+from .matrix import FLOAT64, Matrix, _check_budget, _integers, _require_same_kind
 from .quotient import MatrixClass, _require_same_mu, canonicalize, class_sub
-from .stp import _integers, _row_slices
+from .stp import _row_slices
 
 # Largest experiment index: the next fill exp(-2^9) is still a normal
 # binary64, exp(-2^10) underflows to zero.
@@ -40,7 +40,7 @@ def inner(x: MatrixClass, y: MatrixClass):
     The lift factors sx and sy are coprime, so entry (i, j) of X meets Y
     only if i = j (mod sy), at the lifted positions (i*sx + d, j*sx + d),
     d < sx. Each lifted row therefore pairs two strided slices, one of
-    X's row and one of Y's, each read by ``stp._integers``. The pairing
+    X's row and one of Y's, each read by ``matrix._integers``. The pairing
     sums the products of nonzero entries in row-major lifted order (on
     which fsum's overflow depends), so an inf or NaN facing a zero adds
     nothing. Both kinds sum that one stream of products: float mode by
@@ -96,7 +96,7 @@ def _lift_and_fill(A: Matrix, fill: float) -> Matrix:
     for i in range(A.rows):
         for sl in _row_slices(i, A.rows, A.cols, 2):
             data[sl] = A.row(i)
-    return Matrix._trusted(2 * A.rows, 2 * A.cols, tuple(data), FLOAT64)
+    return Matrix._floats(2 * A.rows, 2 * A.cols, tuple(data))
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,20 @@ from math import gcd
 from operator import eq
 
 from .matrix import (
-    FLOAT64, RATIONAL, Matrix, _numerator, _parts, eq_within, scalar_eq, scale, zeros,
+    FLOAT64, RATIONAL, Matrix, _integers, eq_within, scalar_eq, scale, zeros,
 )
 from .stp import _commutator, lminus, lplus, ltimes, ratio_of
 
 
 def _corners(A: Matrix, s: int) -> Matrix:
-    """The corners of A's s x s blocks: B, if A = B x I_s."""
-    cols = A.cols
-    rows = (A.data[i * cols : (i + 1) * cols : s] for i in range(0, A.rows, s))
-    return Matrix._trusted(A.rows // s, cols // s, tuple(chain.from_iterable(rows)), A.scalar)
+    """The corners of A's s x s blocks: B, if A = B x I_s. B's nonzeros
+    are A's, so exact corners over A's denominator are reduced too."""
+    (data, d), cols = _integers(A), A.cols
+    rows = (data[i * cols : (i + 1) * cols : s] for i in range(0, A.rows, s))
+    cells = tuple(chain.from_iterable(rows))
+    if A.scalar == RATIONAL:
+        return Matrix._exact(A.rows // s, cols // s, cells, d)
+    return Matrix._floats(A.rows // s, cols // s, cells)
 
 
 def _root(A: Matrix, g: int, rtol: float | None = None) -> Matrix:
@@ -37,33 +41,32 @@ def _root(A: Matrix, g: int, rtol: float | None = None) -> Matrix:
     divides g, the row and column where each run starts and the row past
     where it ends: the level is one gcd, folded over a lazy scan of the
     nonzeros that returns A once it is 1. A nonzero is an entry other than
-    0 under exact comparison (numerators, or float truth at rtol=0) and an
-    entry not within rtol of 0 under a tolerance, so only entries other
-    than 0 are tested. A nonzero starts a run unless its up-left entry is
-    in one and it equals that run's first entry (integer parts, float ==,
-    so NaN is a run of its own, or within rtol); a run ends where the
+    0 under exact comparison (the stored ints, or float truth at rtol=0)
+    and an entry not within rtol of 0 under a tolerance, so only entries
+    other than 0 are tested. A nonzero starts a run unless its up-left
+    entry is in one and it equals that run's first entry (int or float
+    ==, so NaN is a run of its own, or within rtol); a run ends where the
     down-right entry is a zero, and where that is off A, s | g and the
     start give s | r+1. Under exact comparison every entry of a run equals
     its first. B is the corners.
     """
-    data, rows, cols = A.data, A.rows, A.cols
-    if A.scalar == RATIONAL:
-        nz, key, same, zero = compress(count(), map(_numerator, data)), _parts, eq, (0, 1)
-    elif rtol == 0.0:
-        nz, key, same, zero = compress(count(), data), float, eq, 0.0
+    (data, _), rows, cols = _integers(A), A.rows, A.cols
+    zero = 0 if A.scalar == RATIONAL else 0.0
+    if A.scalar == RATIONAL or rtol == 0.0:
+        nz, same = compress(count(), data), eq
     else:
         same = partial(scalar_eq, kind=FLOAT64, rtol=rtol)
-        nz, key, zero = (i for i in compress(count(), data) if not same(data[i], 0.0)), float, 0.0
+        nz = (i for i in compress(count(), data) if not same(data[i], zero))
     firsts = {}  # c - r -> the first entry of the run open on that diagonal
     s = g
     for i in nz:
         r, c = divmod(i, cols)
-        v = key(data[i])
+        v = data[i]
         first = firsts.get(c - r)
         if first is None or not same(v, first):
             firsts[c - r] = v
             s = gcd(s, r, c)
-        if r + 1 < rows and c + 1 < cols and same(key(data[i + cols + 1]), zero):
+        if r + 1 < rows and c + 1 < cols and same(data[i + cols + 1], zero):
             del firsts[c - r]
             s = gcd(s, r + 1)
         if s == 1:

@@ -21,17 +21,18 @@ the pairing there reads both lifts as strided row slices. Everything
 allocates only its result. Exact mode agrees bit for bit with the
 Kronecker-built definitions, which the test suite keeps as references.
 
-Every product reads its operands through one reader, ``_integers``: a
-rational operand as integer numerators over one common denominator, the
-lcm of its denominators, a float one as its entries over 1. The entries
-read are multiplied and summed a lifted row at a time; in exact mode
-the output builds one ``Fraction`` over the product of the two
-denominators per distinct value, shared by every cell that holds it
-(``Fraction``s are immutable). The Lie bracket's XY - YX (``_commutator``)
-subtracts the two t x t products cell by cell and builds one matrix in
-either kind, which the bracket peels once. Neither mode multiplies a
-stored zero of either lift, so an inf or NaN entry facing a zero adds
-nothing where the ordinary product of the lifts makes NaN.
+Every kernel reads its operands through one reader, ``matrix._integers``:
+a rational operand as its stored ints over its one denominator, a float
+one as its entries over 1. Products multiply and sum the entries read a
+lifted row at a time, over the product of the two denominators; sums
+scale each operand's ints to the lcm of the two denominators and add
+them. Exact results stay ints, reduced by one gcd with their
+denominator (``matrix._result``): no kernel builds a ``Fraction``. The
+Lie bracket's XY - YX (``_commutator``) subtracts the two t x t products
+cell by cell and builds one matrix in either kind, which the bracket
+peels once. Neither mode multiplies a stored zero of either lift, so an
+inf or NaN entry facing a zero adds nothing where the ordinary product
+of the lifts makes NaN.
 
 Every result is checked against the matrix module's size budget,
 ``_MAX_ENTRIES``, before anything is allocated; a larger result raises
@@ -42,11 +43,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 
 from .matrix import (
-    RATIONAL, Matrix, _check_budget, _denominator, _numerator, _require_same_kind, _zero,
+    RATIONAL, Matrix, _check_budget, _integers, _require_same_kind, _result,
 )
 
 
@@ -86,17 +87,6 @@ def _lifted_rows(data, m: int, n: int, s: int, right: bool = False):
                 yield r, range(c, c + n * step, step), row
 
 
-def _integers(A: Matrix) -> tuple[list | tuple, int]:
-    """Entries of A as a product or pairing multiplies them, over one common
-    denominator d; and d. Rational entries are read by the slot getters as
-    ints over the lcm of A's denominators; float entries as they are, d = 1."""
-    if A.scalar != RATIONAL:
-        return A.data, 1
-    dens = list(map(_denominator, A.data))
-    d = lcm(*dens)
-    return [n * (d // e) for n, e in zip(map(_numerator, A.data), dens)], d
-
-
 def _product_rows(A: Matrix, a, B: Matrix, b, right: bool = False) -> list[list]:
     # The rows of the product of the lifts of A and B, a and b the
     # row-major entries ``_integers`` reads. Output row r sums, over the
@@ -120,12 +110,8 @@ def _product_rows(A: Matrix, a, B: Matrix, b, right: bool = False) -> list[list]
 
 
 def _assemble(acc: list[list], d: int, kind: str) -> Matrix:
-    # The matrix of accumulated rows; in exact mode each cell over d, one
-    # Fraction per distinct value, shared by every cell that holds it.
-    cells = tuple(chain.from_iterable(acc))
-    if kind == RATIONAL:
-        cells = tuple(map({v: Fraction(v, d) for v in set(cells)}.__getitem__, cells))
-    return Matrix._trusted(len(acc), len(acc[0]), cells, kind)
+    # The matrix of accumulated rows, in exact mode ints over d.
+    return _result(len(acc), len(acc[0]), tuple(chain.from_iterable(acc)), d, kind)
 
 
 def _times(A: Matrix, B: Matrix, right: bool) -> Matrix:
@@ -159,50 +145,47 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
     """Sum of two same-ratio matrices, each lifted to the lcm of the row counts.
 
     If ``subtract``, B is subtracted instead, so a difference builds no
-    negated copy. Each nonzero row of A is placed in the slices of the
-    result it lifts to (they never overlap), then each nonzero row of B
-    is added into its slices, one slice at a time. An operand of t rows
-    is not lifted, and goes in as one row of all its entries, one slice;
-    an unlifted B ends the sum, the result built in one pass over the
-    placed A and B's entries.
+    negated copy. Both operands are read by ``_integers``, exact ones
+    scaled to the lcm of their denominators. Each nonzero row of A is
+    placed in the slices of the result it lifts to (they never overlap),
+    then each nonzero row of B is added into its slices, one slice at a
+    time. An operand of t rows is not lifted, and goes in as one row of
+    all its entries, one slice; an unlifted B ends the sum, the result
+    built in one pass over the placed A and B's entries.
 
     Float mode places a row of A with no zero as it is and rewrites each
     zero of any other as 0.0 (0.0 + a is a with -0.0 made 0.0), so a
     cell holds 0.0 where the sum of the full lifts has -0.0, and a ±0.0
-    entry of B changes no cell. Exact mode stores B's entries as they
-    are where A's lift holds a zero: a Fraction addition happens only
-    where two nonzero entries meet. Every exact zero it stores is one
-    object, so that test is by identity.
+    entry of B changes no cell.
     """
     _require_same_ratio(A, B)
     _require_same_kind(A, B)
     t = lcm(A.rows, B.rows)
     cols = t * A.cols // A.rows
     _check_budget(t, cols)
+    (a, da), (b, db) = _integers(A), _integers(B)
+    d = lcm(da, db)
+    if da != d:
+        a = tuple(map(operator.mul, a, repeat(d // da)))
+    if db != d:
+        b = tuple(map(operator.mul, b, repeat(d // db)))
     exact = A.scalar == RATIONAL
-    zero = _zero(A.scalar)
-
-    def first_or_sum(a, b):
-        return b if a is zero else a if b is zero else a + b
-
+    zero = 0 if exact else 0.0
+    plus = operator.sub if subtract else operator.add
     acc = [zero] * (t * cols)
-    for n, X in enumerate((A, B)):
-        negate = subtract and n == 1
-        plus = first_or_sum if exact else operator.sub if negate else operator.add
+    for n, (X, x) in enumerate(((A, a), (B, b))):
         rows, width = (1, t * cols) if X.rows == t else X.shape
         for i in range(rows):
-            row = X.data[i * width : (i + 1) * width]
+            row = x[i * width : (i + 1) * width]
             if not any(row):
                 continue
-            if exact:
-                row = [(-v if negate else v) if v else zero for v in row]
-            elif not (n or all(row)):
+            if not (n or exact or all(row)):
                 row = [v or zero for v in row]
             if n and X.rows == t:
-                return Matrix._trusted(t, cols, tuple(map(plus, acc, row)), A.scalar)
+                return _result(t, cols, tuple(map(plus, acc, row)), d, A.scalar)
             for sl in _row_slices(i, rows, width, t // X.rows, right):
                 acc[sl] = map(plus, acc[sl], row) if n else row
-    return Matrix._trusted(t, cols, tuple(acc), A.scalar)
+    return _result(t, cols, tuple(acc), d, A.scalar)
 
 
 def _require_same_ratio(A: Matrix, B: Matrix) -> None:

@@ -10,7 +10,8 @@ per entry, the correctly rounded float norm (``ref_norm``), the Cauchy
 experiment's fill by its definition (``ref_delta_n``), seeded random
 matrix generators, and
 ``counting_entries``, which counts the matrix entries built inside a
-``with`` block.
+``with`` block, and ``counting_data_builds``, which records every exact
+matrix whose ``data`` is built there.
 
 The oracle works on plain nested lists of Fractions and never touches
 the library's Matrix type internals, so oracle-vs-library comparisons
@@ -28,7 +29,11 @@ from math import fsum, gcd, inf, isinf, isnan, isqrt, lcm, nan
 from types import SimpleNamespace
 
 from semitensor import FLOAT64, Matrix, RATIONAL, fill_value, from_rows
-from semitensor.matrix import _require_same_kind, _zero, scalar_eq
+from semitensor.matrix import _require_same_kind, scalar_eq
+
+
+def _zero(kind):
+    return Fraction(0) if kind == RATIONAL else 0.0
 
 
 # --- independent oracle on nested lists ---------------------------------
@@ -410,21 +415,50 @@ def counting_entries():
     yielded ``count.entries`` grows by rows * cols per ``Matrix`` built.
     A matrix is built by the checked constructor, whose dataclass
     ``__init__`` looks ``__post_init__`` up on the class, or by
-    ``Matrix._trusted``, which the library calls through the class; so
-    wrapping both there sees every construction."""
+    ``Matrix._floats`` or ``Matrix._exact`` (from floats, or from ints
+    over a denominator), which the library calls through the class; so
+    wrapping all three there sees every construction."""
     count = SimpleNamespace(entries=0)
-    checked, trusted = Matrix.__post_init__, Matrix.__dict__["_trusted"]
+    checked = Matrix.__post_init__
+    trusted = {name: Matrix.__dict__[name] for name in ("_floats", "_exact")}
 
     def counted(self):
         checked(self)
         count.entries += self.rows * self.cols
 
-    def counted_trusted(cls, rows, cols, data, scalar):
-        count.entries += rows * cols
-        return trusted.__func__(cls, rows, cols, data, scalar)
+    def counting(build):
+        def counted_build(cls, rows, cols, *entries):
+            count.entries += rows * cols
+            return build.__func__(cls, rows, cols, *entries)
+        return classmethod(counted_build)
 
-    Matrix.__post_init__, Matrix._trusted = counted, classmethod(counted_trusted)
+    Matrix.__post_init__ = counted
+    for name, build in trusted.items():
+        setattr(Matrix, name, counting(build))
     try:
         yield count
     finally:
-        Matrix.__post_init__, Matrix._trusted = checked, trusted
+        Matrix.__post_init__ = checked
+        for name, build in trusted.items():
+            setattr(Matrix, name, build)
+
+
+@contextmanager
+def counting_data_builds():
+    """Record the shape of every exact matrix whose ``data`` is built
+    inside a ``with`` block: the yielded list grows by one shape each
+    time ``Matrix.data`` is made from the stored ints."""
+    built, lazy = [], Matrix.__dict__["data"]
+
+    class Counted:
+        def __get__(self, A, owner=None):
+            if A is None:
+                return self
+            built.append(A.shape)
+            return lazy.__get__(A, owner)
+
+    Matrix.data = Counted()
+    try:
+        yield built
+    finally:
+        Matrix.data = lazy

@@ -1,5 +1,6 @@
 """Basis elements, unit expansions, decomposition and span checks."""
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -451,6 +452,35 @@ def test_coordinates_coerce_coefficients():
         Coordinates(Fraction(1), {e: True})
     with pytest.raises(ValueError, match="zero coefficients"):
         Coordinates(Fraction(1), {e: 0})
+
+
+def test_coordinates_cannot_change_after_their_check():
+    # reconstruct trusts checked terms, so they are read-only: a float, an
+    # int or a zero written in later would build a rational matrix holding
+    # a float, an int, or a class at a reducible level
+    e = BasisElement(Fraction(1), 1, 1, 2, 1, 2)
+    given = {e: Fraction(1)}
+    built = (Coordinates(Fraction(1), given), Coordinates._trusted(Fraction(1), dict(given)),
+             decompose_unit(Fraction(1), 1, 1, 2, 1, 2),
+             decompose_class(canonicalize(e_matrix(2, 2, 0, 1))))
+    for c in built:
+        for value in (0.5, 2, Fraction(0)):
+            with pytest.raises(TypeError):
+                c.terms[e] = value
+        with pytest.raises(TypeError):
+            del c.terms[e]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.terms = {e: 0.5}
+        assert reconstruct(c) == canonicalize(e_matrix(2, 2, 0, 1))
+        assert repr(c) == (
+            "Coordinates(mu=Fraction(1, 1), terms={BasisElement(mu=Fraction(1, 1), "
+            "k=1, l=1, i=2, j1=1, j2=2): Fraction(1, 1)})"
+        )
+    # the checked copy is the coordinates' own: the caller's dict stays theirs
+    given[e] = 0.5
+    assert built[0].terms == {e: Fraction(1)}
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(built[0])
 
 
 def test_span_checks_accept_generators():

@@ -7,6 +7,7 @@ are ``tests/parity.py``'s seeded generators, in both scalar kinds, with
 import dataclasses
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -38,6 +39,11 @@ def check_matrix(A, seen):
         seen["inf"] += any(map(math.isinf, A.data))
         seen["-0.0"] += any(v == 0.0 and math.copysign(1.0, v) < 0 for v in A.data)
     else:
+        # the stored form: ints over one positive denominator, reduced
+        ints, d = A._ints, A._den
+        assert type(ints) is tuple and all(type(v) is int for v in ints)
+        assert type(d) is int and d >= 1 and math.gcd(d, *ints) == 1
+        assert all(v == Fraction(w, d) for v, w in zip(A.data, ints))
         seen["97"] += any(v.denominator % 97 == 0 for v in A.data)
 
 
@@ -61,7 +67,7 @@ def check(result, seen):
         check_element(result)
     elif isinstance(result, Coordinates):
         assert type(result.mu) is Fraction and result.mu > 0
-        assert type(result.terms) is dict
+        assert type(result.terms) is MappingProxyType
         for e, c in result.terms.items():
             check_element(e)
             assert e.mu == result.mu

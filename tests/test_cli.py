@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import as_matrix, lift
+from helpers import as_matrix, counting_data_builds, lift
 
 import semitensor.cli
 from semitensor import (
@@ -309,6 +309,66 @@ def test_float_in_rational_json_names_the_string_form(capsys, tmp_path):
     path.write_text('{"rows": 1, "cols": 1, "scalar": "rational", "data": ["1/2"]}')
     code, out, _ = run(capsys, "canon", str(path))
     assert code == 0 and class_from_dict(json.loads(out)).rep.data == (Fraction(1, 2),)
+
+
+@pytest.mark.parametrize("form", ["inline", "json_file", "class_file", "csv_file"])
+def test_an_int_too_large_for_a_float_is_a_parse_error(capsys, tmp_path, form):
+    # 401 digits: float() overflows on the int; a CSV field is a string,
+    # which float() reads as inf, refused as a non-finite entry
+    big = 10**400
+    matrix = {"rows": 1, "cols": 2, "scalar": FLOAT64, "data": [big, 1]}
+    path = tmp_path / "m.txt"
+    if form == "inline":
+        arg = f"[[{big}, 1]]"
+    else:
+        path.write_text({
+            "json_file": json.dumps(matrix),
+            "class_file": json.dumps({"mu": "1/2", "rep": matrix}),
+            "csv_file": f"{big},1\n",
+        }[form])
+        arg = str(path)
+    code, out, err = run(capsys, "--scalar", "float64", "canon", arg)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "parse"
+
+
+@pytest.mark.parametrize("rep_data, coeff, named", [
+    ([[1]], None, "bad rep.data entry [1]"),
+    (["1", None], None, "bad rep.data entry None"),
+    (None, None, "bad coeff None"),
+    (None, "1/0", "bad coeff '1/0' (zero denominator)"),
+], ids=["nested_array_entry", "null_entry", "null_coeff", "zero_denominator_coeff"])
+def test_bad_field_is_named_in_the_parse_error(capsys, tmp_path, rep_data, coeff, named):
+    path = tmp_path / "in.json"
+    if rep_data is not None:
+        rep = {"rows": 1, "cols": len(rep_data), "scalar": "rational", "data": rep_data}
+        path.write_text(json.dumps({"mu": f"1/{len(rep_data)}", "rep": rep}))
+        argv = ("inner", str(path), str(path))
+    else:
+        path.write_text(json.dumps(_one_term(coeff=coeff)))
+        argv = ("reconstruct", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "parse" and named in error["message"]
+    assert "missing field" not in error["message"]
+
+
+def test_no_verb_builds_an_exact_matrix_data(capsys, tmp_path):
+    # kernels and writers read the stored ints: no exact matrix's data is
+    # built from reading the operands to printing the result
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps(_one_term(coeff="-2/3")))
+    a, b = '[["1/2", 0], [3, "-2/3"]]', '[["1/3", 0, 0], [0, "1/3", 0], [0, 0, 5]]'
+    with counting_data_builds() as built:
+        for argv in (("stp", a, b), ("stp", "--right", a, b), ("sta", a, "[[1]]"),
+                     ("--format", "csv", "sta", "--minus", a, "[[2, 0], [0, 2]]"),
+                     ("canon", "[[2, 0], [0, 2]]"), ("equiv", a, a), ("bracket", a, b),
+                     ("inner", a, b), ("dist", a, b), ("decompose", b),
+                     ("reconstruct", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+    assert built == []
 
 
 @pytest.mark.parametrize("data", ["12", {"3": 0, "4": 0}], ids=["string", "object"])

@@ -168,6 +168,65 @@ def test_matrix_readers_raise_value_error_for_every_bad_entry(entry, message):
         assert str(exc.value) == message
 
 
+_UNREADABLE = "argument should be a string or a Rational instance"
+
+
+@pytest.mark.parametrize("data, message", [
+    ([[1]], f"class object: bad rep.data entry [1] ({_UNREADABLE})"),
+    (["1", None], f"class object: bad rep.data entry None ({_UNREADABLE})"),
+    (["1", "1/0"], "class object: bad rep.data entry '1/0' (zero denominator)"),
+], ids=["nested_array", "null", "zero_denominator"])
+def test_class_reader_names_the_bad_entry(data, message):
+    rep = {"rows": 1, "cols": len(data), "scalar": RATIONAL, "data": data}
+    with pytest.raises(ValueError) as exc:
+        class_from_dict({"mu": f"1/{len(data)}", "rep": rep})
+    assert str(exc.value) == message
+
+
+def test_class_reader_names_the_bad_field():
+    rep = matrix_to_dict(from_rows([[1]]))
+    for d, message in (
+        ({"rep": rep}, "class object missing field: 'mu'"),
+        ({"mu": "1"}, "class object missing field: 'rep'"),
+        ({"mu": None, "rep": rep}, f"class object: bad mu None ({_UNREADABLE})"),
+        ({"mu": "1/0", "rep": rep}, "class object: bad mu '1/0' (zero denominator)"),
+        ({"mu": "1", "rep": {**rep, "data": None}}, "data must be a JSON array, got NoneType"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            class_from_dict(d)
+        assert str(exc.value) == message
+
+
+def test_coordinates_reader_names_the_bad_field():
+    term = {"k": 1, "l": 1, "i": 1, "j1": 1, "j2": 1}
+    for d, message in (
+        ({"terms": []}, "coordinates object missing field: 'mu'"),
+        ({"mu": None, "terms": []}, f"coordinates object: bad mu None ({_UNREADABLE})"),
+        ({"mu": "1/0", "terms": []}, "coordinates object: bad mu '1/0' (zero denominator)"),
+        ({"mu": "1", "terms": [term]}, f"term {term} missing field: 'coeff'"),
+        ({"mu": "1", "terms": [null := {**term, "coeff": None}]},
+         f"term {null}: bad coeff None ({_UNREADABLE})"),
+        ({"mu": "1", "terms": [zero := {**term, "coeff": "1/0"}]},
+         f"term {zero}: bad coeff '1/0' (zero denominator)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            coords_from_dict(d)
+        assert str(exc.value) == message
+
+
+def test_an_int_too_large_for_a_float_is_a_bad_entry():
+    big = 10**400
+    with pytest.raises(ValueError) as exc:
+        matrix_from_dict({"rows": 1, "cols": 2, "scalar": FLOAT64, "data": [big, 1]})
+    assert str(exc.value) == "int too large to convert to float"
+    assert isinstance(exc.value.__cause__, OverflowError)
+    rep = {"rows": 1, "cols": 1, "scalar": FLOAT64, "data": [big]}
+    with pytest.raises(ValueError, match=r"bad rep.data entry 1000+ \(int too large"):
+        class_from_dict({"mu": "1", "rep": rep})
+    # a rational matrix reads the same int exactly
+    assert matrix_from_dict({**rep, "scalar": RATIONAL}).data == (Fraction(big),)
+
+
 # Values each reader must read as as_scalar does, repeats among them: literals
 # every kind reads, literals one kind or none reads, and values no literal is.
 _GOOD = st.sampled_from([" 1/2 ", "+3", "-0", "6/4", "3/2", "1_000", "\u0661\u0662", 0, 3, -7, 10**20])
@@ -183,8 +242,9 @@ def _outcome(read):
 
 
 def _as_value_error(outcome):
-    # what a library reader raises where as_scalar raises TypeError or ZeroDivisionError
-    if isinstance(outcome, tuple) and outcome[0] in (TypeError, ZeroDivisionError):
+    # what a library reader raises where as_scalar raises TypeError,
+    # ZeroDivisionError or OverflowError (an int too large for a float)
+    if isinstance(outcome, tuple) and outcome[0] in (TypeError, ZeroDivisionError, OverflowError):
         return ValueError, outcome[1]
     return outcome
 
@@ -204,11 +264,13 @@ def test_matrix_readers_read_every_entry_as_as_scalar_does(m, n, kind, data):
             assert _outcome(lambda: matrix_from_csv(text, kind)) == _as_value_error(want)
 
 
-def test_rational_cells_share_one_fraction_per_distinct_literal():
+def test_rational_cells_share_one_fraction_per_distinct_value():
+    # each distinct literal is read once, and data is built from the
+    # stored ints, so two literals of one value share one Fraction too
     A = from_rows([["1/2", "2/4", "1/2"], [3, 3, "3"]])
+    assert (A._ints, A._den) == ((1, 1, 1, 6, 6, 6), 2)
     assert A.data == (Fraction(1, 2),) * 3 + (Fraction(3),) * 3
-    assert A.data[0] is A.data[2] and A.data[0] is not A.data[1]
-    assert A.data[3] is A.data[4] and A.data[3] is not A.data[5]
+    assert A.data[0] is A.data[1] is A.data[2] and A.data[3] is A.data[4] is A.data[5]
 
 
 _TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\U0001f600"])

@@ -17,8 +17,11 @@ from hypothesis import given, strategies as st
 from helpers import (
     as_matrix,
     counting_entries,
+    lift,
     matmul,
     rand_matrix,
+    ref_canonicalize,
+    ref_coordinates,
     ref_inner,
     ref_inner_nonzero,
     ref_lminus,
@@ -301,6 +304,27 @@ def test_sums_and_reconstruct_with_adversarial_denominators(case):
             if coords.terms:
                 units = (scale(c, unit_class(e).rep) for e, c in coords.terms.items())
                 assert reconstruct(coords) == canonicalize(reduce(ref_lplus, units))
+
+
+@pytest.mark.parametrize("case", ["distinct_primes", "zero_lines", "zero_operand"])
+def test_classes_and_coordinates_with_adversarial_denominators(case):
+    # the stored ints sit over a product of many primes near 10^4; peeling,
+    # sums and coordinates still agree with the references, and every
+    # result is stored reduced
+    rng = random.Random(163)
+    primes = _primes_from(10**4)
+    for sa, sb in ADVERSARIAL_PAIRS:
+        X = _adversarial("distinct_primes", rng, sa, primes)
+        Y = _adversarial(case, rng, sb, primes)
+        for Z in (X, Y, lplus(X, Y), rminus(Y, X)):
+            for s in (1, 2, 3):
+                L = lift(Z, s)
+                x = canonicalize(L)
+                assert x.rep == ref_canonicalize(L)
+                assert {e.sort_key(): c for e, c in decompose_class(x).terms.items()} \
+                    == ref_coordinates(x)
+                for R in (Z, L, x.rep):
+                    assert math.gcd(R._den, *R._ints) == 1
 
 
 # --- size budget --------------------------------------------------------

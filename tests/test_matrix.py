@@ -2,26 +2,50 @@
 arithmetic and pairing in tests/helpers.py that the references rest on."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import matrices
+from conftest import matrices, matrix_pairs_same_ratio, small_fractions
 import semitensor.matrix
-from helpers import add, as_matrix, counting_entries, frobenius_inner, matmul, o_kron, sub
+from helpers import (
+    add, as_matrix, counting_data_builds, counting_entries, frobenius_inner, matmul, o_kron, sub,
+)
 
 from semitensor import (
     FLOAT64,
     RATIONAL,
     Matrix,
+    canonicalize,
+    class_add,
+    class_mul,
+    class_sub,
+    decompose_class,
+    dist,
     eq_within,
+    equivalent,
     from_rows,
     identity,
+    in_span,
+    independent,
+    inner,
     kron,
+    lie_bracket,
+    lminus,
+    lplus,
+    ltimes,
+    norm,
+    reconstruct,
+    rminus,
+    rplus,
+    rtimes,
+    scalar_mul,
     scale,
     to_rational,
     zeros,
 )
+from semitensor.io import class_to_dict, matrix_to_csv, matrix_to_dict
 from semitensor.matrix import _denominator, _numerator, _parts, as_scalar
 
 
@@ -219,3 +243,83 @@ def test_slot_getters_read_the_integer_parts():
     for v in Matrix(1, len(values), values).data:
         assert (_numerator(v), _denominator(v)) == _parts(v) == (v.numerator, v.denominator), v
         assert type(_numerator(v)) is int and type(_denominator(v)) is int
+
+
+# --- the stored form: reduced ints over one denominator -----------------
+
+def assert_stored_reduced(A):
+    ints, d = A._ints, A._den
+    assert type(ints) is tuple and all(type(v) is int for v in ints)
+    assert type(d) is int and d >= 1 and gcd(d, *ints) == 1
+    assert A.data == tuple(Fraction(v, d) for v in ints)
+
+
+@settings(deadline=None)
+@given(matrix_pairs_same_ratio(), matrices(max_rows=4, max_cols=4), small_fractions)
+def test_every_exact_result_is_stored_reduced(pair, C, c):
+    A, B = pair
+    x, y = canonicalize(A), canonicalize(B)
+    results = [op(A, B) for op in (lplus, lminus, rplus, rminus, ltimes, rtimes, kron)]
+    results += [op(A, C) for op in (ltimes, rtimes, kron)]
+    results += [scale(c, A), scale(0, A), canonicalize(kron(A, identity(2))).rep, zeros(2, 3),
+                identity(3), to_rational(Matrix(1, 2, (0.5, -0.75), FLOAT64))]
+    results += [z.rep for z in (x, y, class_add(x, y), class_sub(x, y), class_mul(x, y),
+                                reconstruct(decompose_class(x)))]
+    if A.rows == A.cols:
+        results.append(lie_bracket(x, y).rep)
+    for R in results:
+        assert_stored_reduced(R)
+
+
+@settings(deadline=None)
+@given(matrices(max_rows=4, max_cols=4), matrices(max_rows=4, max_cols=4))
+def test_equal_values_have_one_stored_form(A, B):
+    # one value reached through its Fractions, its strings, a sum and a
+    # scaling has one stored form; == and hash agree with the entries
+    same = (Matrix(A.rows, A.cols, A.data), from_rows([[str(v) for v in r] for r in A.to_lists()]),
+            lminus(lplus(A, A), A), scale(2, scale(Fraction(1, 2), A)),
+            rminus(kron(A, identity(1)), zeros(A.rows, A.cols)))
+    for S in same:
+        assert (S._ints, S._den) == (A._ints, A._den)
+        assert S == A and hash(S) == hash(A)
+    assert (A == B) == (A.shape == B.shape and A.data == B.data)
+    if A == B:
+        assert hash(A) == hash(B)
+
+
+def test_data_is_built_on_first_read_and_kept():
+    A = from_rows([["1/2", 3, "2/4", 0]])
+    assert "data" not in A.__dict__ and (A._ints, A._den) == ((1, 6, 1, 0), 2)
+    data = A.data
+    assert data == (Fraction(1, 2), Fraction(3), Fraction(1, 2), Fraction(0))
+    assert A.data is data and data[0] is data[2]
+    assert repr(A) == repr(Matrix(1, 4, data)) == (
+        "Matrix(rows=1, cols=4, data=(Fraction(1, 2), Fraction(3, 1), Fraction(1, 2), "
+        "Fraction(0, 1)), scalar='rational')"
+    )
+    # a float matrix, and an exact one built from its Fractions, hold data from the start
+    F = from_rows([[1.5]], FLOAT64)
+    assert F.__dict__["data"] == (1.5,)
+    entries = (Fraction(-1, 3), Fraction(0))
+    assert Matrix(1, 2, entries).__dict__["data"] is entries
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        A.missing
+    assert not hasattr(F, "_ints")
+
+
+def test_no_library_path_reads_an_exact_matrix_data():
+    with counting_data_builds() as built:
+        A = from_rows([["1/2", 0], [3, "-2/3"]])
+        B = from_rows([["1/3", 0, 0], [0, "1/3", 0], [0, 0, 5]])
+        x, y = canonicalize(A), canonicalize(B)
+        for op in (lplus, lminus, rplus, rminus, ltimes, rtimes, kron):
+            op(A, B)
+        scale("3/4", A), eq_within(A, A), to_rational(A)
+        z = lie_bracket(x, y)
+        class_add(x, y), class_sub(x, y), class_mul(x, y), scalar_mul(2, z), equivalent(A, B)
+        inner(x, y), norm(z), dist(x, y)
+        coords = decompose_class(z)
+        reconstruct(coords), in_span(z, [x, y]), independent([x, y, z])
+        matrix_to_dict(A), matrix_to_csv(B), class_to_dict(z)
+        assert built == []
+        assert A.data and built == [A.shape]

@@ -150,7 +150,8 @@ def test_ratio_of():
 
 def test_integers_match_the_properties():
     # huge and negative numerators, distinct and shared zeros, prime
-    # denominators: each entry is its numerator over the common lcm
+    # denominators: the stored ints are each entry's numerator over the
+    # common lcm, a tuple read as it is
     rng = random.Random(59)
     zero = Fraction(0)
     values = [Fraction(-(2**200) - 1, 3), Fraction(2**130, 10007), Fraction(-9, 97), zero, zero]
@@ -159,7 +160,8 @@ def test_integers_match_the_properties():
     A = Matrix(2, 6, tuple(values))
     ints, d = _integers(A)
     assert d == lcm(*(v.denominator for v in A.data))
-    assert ints == [v.numerator * (d // v.denominator) for v in A.data]
+    assert ints == tuple(v.numerator * (d // v.denominator) for v in A.data)
+    assert ints is A._ints
     assert all(type(w) is int for w in ints)
 
 
