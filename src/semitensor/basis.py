@@ -8,14 +8,18 @@ gcd chains: the plus-chain walks j down to 0 in steps f_n = gcd(i, rest),
 the minus-chain walks j-1 down to 0, and the signed sum of the emitted
 coprime units reproduces the original unit after lifting. Coordinates
 run all of a class's chains at once, as integer weights on diagonals:
-the representative's stored ints, over its one denominator, which the
-coordinates take back as ``Fraction``s; ``reconstruct`` builds the
-stored ints of its class directly.
+the representative's stored ints, over its one denominator, which
+``decompose_class`` takes back as ``Fraction``s; ``reconstruct`` builds
+the stored ints of its class directly.
 
 Because these classes form a basis, decompose_class is an exact linear
 isomorphism onto finite-support coordinates. Span and independence
-questions are therefore decided by exact sparse elimination over the
-coordinates of each class, with no representative ever lifted. The same
+questions are therefore decided by sparse elimination over the
+coordinates of each class, with no representative ever lifted. It runs
+fraction-free, on ints: the weights, each column scaled by the lcm of
+its entries' reduced denominators, since a positive scale of a class's
+coordinates, or of one coordinate in every class, moves no span or rank
+verdict. The same
 uniqueness puts a combination of units at level lcm(i), where
 unit_class and reconstruct build it with no peel search.
 """
@@ -24,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
 
-from .matrix import RATIONAL, _check_budget, _integers, _result, as_scalar
+from .matrix import (
+    RATIONAL, _check_budget, _denominator, _integers, _numerator, _result, as_scalar,
+)
 from .quotient import MatrixClass, zero_class
 from .stp import _row_slices
 
@@ -44,7 +50,8 @@ class BasisElement:
 
     All indices are 1-based. mu = p/q is positive and reduced (Fraction
     reduces it); k <= p, l <= q, and j1, j2 <= i with gcd(i, j1, j2) = 1.
-    An off-diagonal element (j1 != j2) therefore has i >= 2.
+    An off-diagonal element (j1 != j2) therefore has i >= 2. The hash
+    reads mu's integer parts, so an int mu hashes as the equal Fraction.
     """
 
     mu: Fraction
@@ -74,6 +81,11 @@ class BasisElement:
         self = object.__new__(cls)
         self.__dict__.update(mu=mu, k=k, l=l, i=i, j1=j1, j2=j2)
         return self
+
+    def __hash__(self):
+        # Fraction's own __hash__ is a Python function with a pow in it.
+        mu = self.mu
+        return hash((mu.numerator, mu.denominator, self.k, self.l, self.i, self.j1, self.j2))
 
     @property
     def kind(self) -> str:
@@ -174,12 +186,26 @@ def _carry(k0: int, cols: int, entries) -> dict[tuple[int, ...], int]:
     return {key: w for key, w in out.items() if w} if diagonals else out
 
 
+def _weights(classes) -> list[tuple[dict[tuple[int, ...], int], int]]:
+    # Each class's integer coordinates keyed by sort_key, its nonzero
+    # stored ints (found in C) carried, and its representative's
+    # denominator d, once all the classes are exact and of one ratio.
+    classes = list(classes)
+    for x in classes:
+        if x.scalar != RATIONAL:
+            raise ValueError("coordinates are exact-rational; rationalize the class first")
+        if x.mu != classes[0].mu:
+            raise ValueError(f"mixed ratios: {x.mu} vs {classes[0].mu}")
+    out = []
+    for x in classes:
+        ints, d = _integers(x.rep)
+        out.append((_carry(x.k0, x.rep.cols, zip(compress(count(), ints), filter(None, ints))), d))
+    return out
+
+
 def _coordinates(x: MatrixClass) -> dict[tuple[int, ...], Fraction]:
-    # Coordinates keyed by sort_key: the nonzero stored ints (found in C)
-    # carried, then over the representative's denominator, one Fraction
-    # per distinct value.
-    ints, d = _integers(x.rep)
-    coords = _carry(x.k0, x.rep.cols, zip(compress(count(), ints), filter(None, ints)))
+    # The weights over d, one Fraction per distinct value.
+    [(coords, d)] = _weights([x])
     values = {}
     for key, w in coords.items():
         coords[key] = values[w] if w in values else values.setdefault(w, Fraction(w, d))
@@ -191,7 +217,7 @@ def decompose_class(x: MatrixClass) -> Coordinates:
     read as a p x q grid of k0 x k0 cells, its entry at 1-based (I, J) the
     unit E(p x q; k, l) x E(k0 x k0; j1, j2) with I = (k-1)k0 + j1 and
     J = (l-1)k0 + j2, and all these units telescope at once (``_carry``)."""
-    coords = next(_coordinate_rows([x]))
+    coords = _coordinates(x)
     return Coordinates._trusted(x.mu, {
         BasisElement._trusted(x.mu, k, l, i, j1, j2): c
         for (i, j1, j2, k, l), c in coords.items()
@@ -212,33 +238,45 @@ def reconstruct(c: Coordinates) -> MatrixClass:
     p, q = c.mu.numerator, c.mu.denominator
     L = lcm(*(e.i for e in c.terms))
     _check_budget(p * L, q * L)
-    d = lcm(*(coeff.denominator for coeff in c.terms.values()))
+    d = lcm(*map(_denominator, c.terms.values()))
     acc = [0] * (p * q * L * L)
     for e, coeff in c.terms.items():
-        w, s = coeff.numerator * (d // coeff.denominator), L // e.i
+        w, s = _numerator(coeff) * (d // _denominator(coeff)), L // e.i
         col = (e.l - 1) * e.i + e.j2 - 1
         for sl in _row_slices((e.k - 1) * e.i + e.j1 - 1, p * e.i, q * e.i, s):
             acc[sl.start + col * s] += w
     return MatrixClass(c.mu, _result(p * L, q * L, tuple(acc), d, RATIONAL))
 
 
-def _eliminate(pivots: dict, v: dict[tuple[int, ...], Fraction]) -> bool:
+def _eliminate(pivots: dict, v: dict[tuple[int, ...], int]) -> bool:
     """Reduce v by the pivot rows; keep and report a nonzero remainder.
 
-    Each stored row is scaled to 1 at its pivot, its smallest key, so
-    subtracting it clears v's smallest key and touches only larger ones.
-    Returns True when v is independent of the rows already stored.
+    Fraction-free, on ints: each row is stored primitive, divided once by
+    the gcd of its values, signed so that its pivot, its smallest key, is
+    positive. With a at v's smallest key and b at the row's pivot, over
+    g = gcd(a, b), v becomes b/g * v - a/g * row (no scaling when b/g is 1,
+    as for a unit's row): that clears v's smallest key, touches only
+    larger ones and moves no verdict, since b/g is not 0. v's content is
+    not divided out between steps (a gcd over v per step costs more than
+    it saves). v is consumed. Returns True when v is independent of the
+    rows already stored.
     """
     while v:
         key = min(v)
         row = pivots.get(key)
         if row is None:
-            inv = 1 / v[key]
-            pivots[key] = {k: c * inv for k, c in v.items()}
+            g = gcd(*v.values()) if v[key] > 0 else -gcd(*v.values())
+            pivots[key] = v if g == 1 else {k: c // g for k, c in v.items()}
             return True
-        f = v[key]
+        a, b = v[key], row[key]
+        if b != 1:
+            g = gcd(a, b)
+            if b != g:
+                b //= g
+                v = {k: c * b for k, c in v.items()}
+            a //= g
         for k, c in row.items():
-            new = v.get(k, 0) - f * c
+            new = v.get(k, 0) - a * c
             if new:
                 v[k] = new
             else:
@@ -246,22 +284,32 @@ def _eliminate(pivots: dict, v: dict[tuple[int, ...], Fraction]) -> bool:
     return False
 
 
-def _coordinate_rows(classes):
-    # Each class's coordinates, once all are exact and of one ratio.
-    classes = list(classes)
-    for x in classes:
-        if x.scalar != RATIONAL:
-            raise ValueError("coordinates are exact-rational; rationalize the class first")
-        if x.mu != classes[0].mu:
-            raise ValueError(f"mixed ratios: {x.mu} vs {classes[0].mu}")
-    return map(_coordinates, classes)
+def _coordinate_rows(classes) -> list[dict[tuple[int, ...], int]]:
+    # The classes' coordinates as ints: each weight w over its row's d,
+    # times its column's scale, the lcm of the reduced denominators
+    # d/gcd(w, d) found in that column. A positive scale of a row or of a
+    # column moves no span or rank verdict, and per column an int holds
+    # only the primes its own column needs, where one d per row would hold
+    # every prime of the row. A row with d = 1 and no scaled column (every
+    # row of a family of units) goes in as it is.
+    rows = _weights(classes)
+    scale = {}
+    get = scale.get
+    for v, d in rows:
+        if d != 1:
+            for k, g in zip(v, map(gcd, v.values(), repeat(d))):
+                if g != d:
+                    scale[k] = lcm(get(k, 1), d // g)
+    untouched = scale.keys().isdisjoint
+    return [v if d == 1 and untouched(v) else {k: w * get(k, 1) // d for k, w in v.items()}
+            for v, d in rows]
 
 
 def in_span(target: MatrixClass, classes: list[MatrixClass]) -> bool:
     """Whether target is a rational combination of the given classes: its
     basis coordinates reduce to zero against the echelon rows of theirs."""
-    rows = _coordinate_rows([target, *classes])
-    goal, pivots = next(rows), {}
+    goal, *rows = _coordinate_rows([target, *classes])
+    pivots = {}
     for v in rows:
         _eliminate(pivots, v)
     return not _eliminate(pivots, goal)

@@ -96,6 +96,7 @@ class MatrixClass:
     Construct through :func:`canonicalize`; the direct constructor only
     checks that the stored ratio is a ``Fraction`` (an int is stored as
     one; a bool or a float is refused) matching the representative's shape.
+    ``_trusted`` builds a class with no check.
     """
 
     mu: Fraction
@@ -111,6 +112,14 @@ class MatrixClass:
                 f"representative shape {self.rep.shape} has ratio "
                 f"{ratio_of(self.rep)}, not {self.mu}"
             )
+
+    @classmethod
+    def _trusted(cls, mu: Fraction, rep: Matrix) -> MatrixClass:
+        """The class of rep, built with no check: the caller has made sure
+        that mu is the ``Fraction`` ratio of rep's shape."""
+        self = object.__new__(cls)
+        self.__dict__.update(mu=mu, rep=rep)
+        return self
 
     @property
     def k0(self) -> int:
@@ -130,7 +139,7 @@ def canonicalize(A: Matrix, rtol: float | None = None) -> MatrixClass:
     where the representative is unique, and under a float tolerance alike;
     the representative is A's block corners.
     """
-    return MatrixClass(ratio_of(A), _root(A, gcd(A.rows, A.cols), rtol))
+    return MatrixClass._trusted(ratio_of(A), _root(A, gcd(A.rows, A.cols), rtol))
 
 
 def equivalent(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:
@@ -143,7 +152,7 @@ def equivalent(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:
 def zero_class(mu: Fraction, scalar: str = RATIONAL) -> MatrixClass:
     """The class of the zero matrix in the space of ratio mu."""
     mu = Fraction(mu)
-    return MatrixClass(mu, zeros(mu.numerator, mu.denominator, scalar))
+    return MatrixClass._trusted(mu, zeros(mu.numerator, mu.denominator, scalar))
 
 
 def _require_same_mu(x: MatrixClass, y: MatrixClass) -> None:

@@ -4,9 +4,11 @@ import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import semitensor.basis
 import semitensor.matrix
@@ -59,6 +61,22 @@ def test_basis_element_validation():
     for mu in (Fraction(0), Fraction(-1, 2)):  # the ratio first, not as an index range
         with pytest.raises(ValueError, match=f"ratio must be positive, got {mu}$"):
             BasisElement(mu, 1, 1, 1, 1, 1)
+
+
+def test_basis_element_hash_agrees_with_equality():
+    # an int mu equals the Fraction, so it hashes alike; the public and the
+    # trusted constructor build the same key, and each finds its term
+    for mu, idx, built in (
+        (Fraction(1), (1, 1, 1, 1, 1), BasisElement(1, 1, 1, 1, 1, 1)),
+        (Fraction(1), (1, 1, 6, 5, 2), BasisElement(1, 1, 1, 6, 5, 2)),
+        (Fraction(2, 3), (2, 3, 4, 1, 2), BasisElement(Fraction(2, 3), 2, 3, 4, 1, 2)),
+    ):
+        public, trusted = BasisElement(mu, *idx), BasisElement._trusted(mu, *idx)
+        assert built == public == trusted
+        assert hash(built) == hash(public) == hash(trusted)
+        for c in (decompose_class(unit_class(trusted)), decompose_unit(mu, *idx)):
+            assert all(c.terms[e] == 1 for e in (built, public, trusted))
+    assert hash(BasisElement(1, 1, 1, 2, 1, 2)) != hash(BasisElement(1, 1, 1, 2, 2, 1))
 
 
 def test_unit_class_examples():
@@ -491,6 +509,106 @@ def test_span_checks_accept_generators():
     assert independent(c for c in [x])
     assert in_span(x, (c for c in [x]))
     assert not in_span(unit_class(BasisElement(Fraction(1), 1, 1, 2, 1, 2)), (c for c in [x]))
+
+
+# The first hundred primes above 10^4: entries with their own large
+# denominators put hundreds of bits into the integer rows and pivots.
+_LARGE_PRIMES = [n for n in range(10**4, 10**4 + 1200)
+                 if all(n % d for d in range(2, isqrt(n) + 1))][:100]
+
+
+@hs.composite
+def span_problems(draw):
+    """A ratio, a family and a target: units with i <= 3, dense classes at
+    k0 <= 3, combinations of members and zero members; the entries small
+    fractions or, half the time, each over its own prime near 10^4."""
+    mu = draw(hs.sampled_from((Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3))))
+    p, q = mu.numerator, mu.denominator
+    large = draw(hs.booleans())
+
+    def value():
+        if large:
+            return Fraction(draw(hs.integers(-10**4, 10**4)), draw(hs.sampled_from(_LARGE_PRIMES)))
+        return Fraction(draw(hs.integers(-3, 3)), draw(hs.integers(1, 3)))
+
+    def member():
+        if draw(hs.booleans()):
+            return unit_class(draw(hs.sampled_from(enumerate_basis(mu, 3))))
+        k0 = draw(hs.integers(1, 3))
+        return canonicalize(as_matrix([[value() for _ in range(k0 * q)] for _ in range(k0 * p)]))
+
+    def combination(classes):
+        acc = zero_class(mu)
+        for x in classes:
+            acc = class_add(acc, scalar_mul(value() or Fraction(1), x))
+        return acc
+
+    family = [member() for _ in range(draw(hs.integers(0, 5)))]
+    if family and draw(hs.booleans()):
+        family.append(combination(draw(hs.lists(hs.sampled_from(family), min_size=1, max_size=3))))
+    if draw(hs.integers(0, 4)) == 0:
+        family.append(zero_class(mu))
+    family = draw(hs.permutations(family))
+    kind = draw(hs.sampled_from(("zero", "combination", "member")))
+    if kind == "zero":
+        target = zero_class(mu)
+    elif kind == "combination" and family:
+        target = combination(draw(hs.lists(hs.sampled_from(family), min_size=1, max_size=4)))
+    else:
+        target = member()
+    return family, target
+
+
+@settings(deadline=None, max_examples=150)
+@given(span_problems())
+def test_span_and_rank_verdicts_are_the_lifted_references(problem):
+    family, target = problem
+    assert independent(family) == ref_independent(family)
+    assert in_span(target, family) == ref_in_span(target, family)
+
+
+def _dense_family(rng, k0, n):
+    return [canonicalize(rand_matrix(rng, k0, k0, max_den=5)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("family", ["dense", "units"])
+def test_span_checks_stay_on_integers(family, monkeypatch):
+    # no Fraction is built between reading the classes and the verdict,
+    # and every stored pivot row is ints with content 1, its pivot > 0
+    rng = random.Random(127)
+    if family == "dense":
+        classes = _dense_family(rng, 12, 6)
+    else:
+        classes = [unit_class(e) for e in enumerate_basis(Fraction(1), 12)]
+    picks = rng.sample(classes, 4)
+    inside = class_add(class_add(picks[0], scalar_mul(Fraction(-3, 7), picks[1])), picks[2])
+    dependent = classes + [class_add(picks[3], scalar_mul(Fraction(5, 2), picks[1]))]
+    outside = canonicalize(e_matrix(13, 13, 0, 1))
+
+    built, stored = [], []
+    new, eliminate = Fraction.__new__, semitensor.basis._eliminate
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def recording(pivots, v):
+        stored.append(pivots)
+        return eliminate(pivots, v)
+
+    monkeypatch.setattr(semitensor.basis, "_eliminate", recording)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    verdicts = (independent(classes), independent(dependent),
+                in_span(inside, classes), in_span(outside, classes))
+    monkeypatch.undo()
+    assert verdicts == (True, False, True, False)
+    assert built == []
+    assert stored
+    for pivots in stored:
+        for key, row in pivots.items():
+            assert key == min(row) and row[key] > 0
+            assert all(type(c) is int for c in row.values())
+            assert gcd(*row.values()) == 1
 
 
 def test_decompose_unit_matches_the_per_entry_route():

@@ -61,8 +61,11 @@ def check(result, seen):
     if isinstance(result, Matrix):
         check_matrix(result, seen)
     elif isinstance(result, MatrixClass):
+        # what MatrixClass(...) checks, which canonicalize and zero_class skip
+        assert type(result.rep) is Matrix
         check_matrix(result.rep, seen)
         assert type(result.mu) is Fraction and result.mu == st.ratio_of(result.rep)
+        seen["classes"] += 1
     elif isinstance(result, BasisElement):
         check_element(result)
     elif isinstance(result, Coordinates):
@@ -83,7 +86,8 @@ def check(result, seen):
 
 
 def test_every_built_result_passes_the_boundary_checks():
-    seen = dict.fromkeys((RATIONAL, FLOAT64, "nan", "inf", "-0.0", "97", "terms", "checked"), 0)
+    seen = dict.fromkeys(
+        (RATIONAL, FLOAT64, "nan", "inf", "-0.0", "97", "terms", "classes", "checked"), 0)
     for name in MAKERS:
         fn, before = getattr(st, name), seen["checked"]
         for args in parity.calls(name, 1, 150):
@@ -118,6 +122,12 @@ def test_the_public_boundary_still_refuses_bad_input():
         Matrix(1, 1, (Fraction(1),), FLOAT64)
     with pytest.raises(ValueError, match="data length"):
         dataclasses.replace(A, cols=3)
+    with pytest.raises(ValueError, match="has ratio 1/2, not 2"):
+        MatrixClass(Fraction(2), A)
+    with pytest.raises(ValueError, match="ratio must be a Fraction or an int"):
+        MatrixClass(0.5, A)
+    with pytest.raises(ValueError, match="has ratio 1/2, not 2"):
+        dataclasses.replace(st.canonicalize(A), mu=Fraction(2))
     with pytest.raises(ValueError, match="zero coefficients must not be stored"):
         Coordinates(Fraction(1), {e: Fraction(0)})
     with pytest.raises(ValueError, match="has ratio"):
