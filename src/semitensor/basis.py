@@ -36,7 +36,7 @@ from typing import Mapping
 from .matrix import (
     RATIONAL, _check_budget, _denominator, _integers, _numerator, _result, as_scalar,
 )
-from .quotient import MatrixClass, zero_class
+from .quotient import MatrixClass, _as_ratio, zero_class
 from .stp import _row_slices
 
 # Largest listing enumerate_basis builds, as its bound p*q*sum(i^2) on the
@@ -49,9 +49,9 @@ class BasisElement:
     """Index tuple naming the class of E(p x q; k, l) x E(i x i; j1, j2).
 
     All indices are 1-based. mu = p/q is positive and reduced (Fraction
-    reduces it); k <= p, l <= q, and j1, j2 <= i with gcd(i, j1, j2) = 1.
-    An off-diagonal element (j1 != j2) therefore has i >= 2. The hash
-    reads mu's integer parts, so an int mu hashes as the equal Fraction.
+    reduces it; an int is made one, and any other type refused);
+    k <= p, l <= q, and j1, j2 <= i with gcd(i, j1, j2) = 1. An
+    off-diagonal element (j1 != j2) therefore has i >= 2.
     """
 
     mu: Fraction
@@ -62,6 +62,7 @@ class BasisElement:
     j2: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", _as_ratio(self.mu))
         p, q = self.mu.numerator, self.mu.denominator
         if p <= 0:
             raise ValueError(f"ratio must be positive, got {self.mu}")
@@ -100,10 +101,11 @@ class BasisElement:
 class Coordinates:
     """Finite-support expansion of a class over basis elements.
 
-    Only nonzero rational coefficients are stored, all keys share mu; each
-    passes ``as_scalar(c, RATIONAL)`` (an int is made a Fraction). ``terms``
-    is a read-only view of the checked copy, so a value checked once
-    stays as checked; ``repr`` shows it as the dict it holds.
+    Only nonzero rational coefficients are stored, all keys share mu,
+    checked as ``BasisElement``'s; each coefficient passes
+    ``as_scalar(c, RATIONAL)`` (an int is made a Fraction). ``terms`` is
+    a read-only view of the checked copy, so a value checked once stays
+    as checked; ``repr`` shows it as the dict it holds.
     """
 
     mu: Fraction
@@ -112,6 +114,7 @@ class Coordinates:
     __hash__ = None  # terms is a mapping
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", _as_ratio(self.mu))
         if self.mu <= 0:
             raise ValueError(f"ratio must be positive, got {self.mu}")
         terms = {e: c if type(c) is Fraction else as_scalar(c, RATIONAL)

@@ -1,13 +1,14 @@
 """Dense matrices over exact rationals or binary64 floats.
 
-Entries live in a flat row-major tuple. Exact mode stores a matrix as a
-private tuple of ints over one positive denominator, kept reduced: the
-gcd of the denominator and all the ints is 1, so one value has one
-stored form, and ``==``, ``hash`` and every kernel read the ints. The
-public ``data``, a tuple of ``Fraction``s, is built on its first read,
-one ``Fraction`` per distinct value, and kept. Float mode stores
-binary64 and all tolerant comparisons go through a relative tolerance
-with an absolute floor. Every value is immutable, every operation is a
+Entries live in a flat row-major tuple. Every matrix stores its cells
+over one positive denominator, ``_cells`` and ``_den``, which ``==``,
+``hash`` and every kernel read. Exact mode stores ints, kept reduced:
+the gcd of the denominator and all the ints is 1, so one value has one
+stored form. The public ``data``, a tuple of ``Fraction``s, is built on
+its first read, one ``Fraction`` per distinct value, and kept. Float
+mode stores binary64 entries over 1, which are also its ``data``, and
+all tolerant comparisons go through a relative tolerance with an
+absolute floor. Every value is immutable, every operation is a
 pure function. Every constructor that sizes its result from its
 arguments (``zeros``, ``identity``, ``kron``) checks it against one size
 budget, ``_MAX_ENTRIES``, before anything is allocated.
@@ -16,9 +17,8 @@ Entries are checked once, at the boundary: the public ``Matrix(...)``
 (and so ``dataclasses.replace``), ``from_rows`` and ``io``'s readers
 check the shape, the kind and the type of every entry. A matrix the
 library builds from entries of matrices already checked, or from
-arguments it has checked itself, is made by ``Matrix._floats`` or
-``Matrix._exact``, which run no check again, or by ``_result``, which
-reduces exact ints first.
+arguments it has checked itself, is made by ``Matrix._trusted``, which
+runs no check again, or by ``_result``, which reduces exact ints first.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ class Matrix:
 
     The constructor checks that the shape is positive, that ``data`` holds
     rows * cols entries and that each is of the kind's type (``Fraction``
-    or ``float``), and stores a rational matrix's ints over their lcm.
-    ``_floats`` and ``_exact`` build a value with no check. An exact
-    matrix ``_exact`` builds gets its ``data`` on first read
-    (``_ExactData``).
+    or ``float``), stores ``data`` as a tuple, and stores a rational
+    matrix's ints over their lcm, a float one's entries over 1.
+    ``_trusted`` builds a value with no check. An exact matrix it builds
+    gets its ``data`` on first read (``_ExactData``).
     """
 
     rows: int
@@ -129,39 +129,38 @@ class Matrix:
     data: tuple
     scalar: str = RATIONAL
 
+    _den = 1  # a float matrix's: not stored, so its instance dict stays at five keys
+
     def __post_init__(self):
-        kind_type = _check_shape(self.rows, self.cols, len(self.data), self.scalar)
-        if not all(map(isinstance, self.data, repeat(kind_type))):
+        data = self.__dict__["data"] = tuple(self.data)
+        kind_type = _check_shape(self.rows, self.cols, len(data), self.scalar)
+        if not all(map(isinstance, data, repeat(kind_type))):
             raise ValueError(f"{self.scalar} matrix entries must be {kind_type.__name__}")
         if self.scalar == RATIONAL:
-            self.__dict__["_ints"], self.__dict__["_den"] = _over_lcm(self.data)
+            self.__dict__["_cells"], self.__dict__["_den"] = _over_lcm(data)
+        else:
+            self.__dict__["_cells"] = data
 
     @classmethod
-    def _floats(cls, rows: int, cols: int, data: tuple) -> Matrix:
-        """The float64 matrix of these entries, built with no check: rows
-        and cols positive and data a tuple of rows * cols floats, which
-        the caller has made sure of. Call it, and ``_exact``, through the
-        class, ``Matrix._floats(...)``, so that a wrapper set on the class
-        (the tests' entry counter) sees every call."""
+    def _trusted(cls, rows: int, cols: int, cells: tuple, d: int, scalar: str) -> Matrix:
+        """The matrix of cells over d, built with no check: rows and cols
+        positive, cells a tuple of rows * cols entries of the kind, ints
+        over d > 0 with gcd(d, *cells) = 1, or floats over d = 1, which
+        are also its ``data``; the caller has made sure of it. Call it
+        through the class, ``Matrix._trusted(...)``, so that a wrapper set
+        on the class (the tests' entry counter) sees every call."""
         self = object.__new__(cls)
-        self.__dict__.update(rows=rows, cols=cols, data=data, scalar=FLOAT64)
-        return self
-
-    @classmethod
-    def _exact(cls, rows: int, cols: int, ints: tuple, d: int) -> Matrix:
-        """The rational matrix of ints over d, built with no check: rows
-        and cols positive, ints a tuple of rows * cols ints and d > 0 with
-        gcd(d, *ints) = 1, which the caller has made sure of."""
-        self = object.__new__(cls)
-        self.__dict__.update(rows=rows, cols=cols, scalar=RATIONAL, _ints=ints, _den=d)
+        self.__dict__.update(rows=rows, cols=cols, scalar=scalar, _cells=cells)
+        if scalar == RATIONAL:
+            self.__dict__["_den"] = d
+        else:
+            self.__dict__["data"] = cells
         return self
 
     def _key(self) -> tuple:
-        # What == and hash compare: an exact matrix's stored form, which
-        # is one per value, or a float one's entries.
-        if self.scalar == RATIONAL:
-            return self.rows, self.cols, self._ints, self._den
-        return self.rows, self.cols, self.data, self.scalar
+        # What == and hash compare: the stored form, which is one per
+        # exact value, and the kind.
+        return self.rows, self.cols, self.scalar, self._cells, self._den
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -200,9 +199,9 @@ class _ExactData:
     def __get__(self, A, owner=None):
         if A is None:
             return self
-        ints, d = A._ints, A._den
-        value = {v: Fraction(v, d) for v in set(ints)}
-        data = A.__dict__["data"] = tuple(map(value.__getitem__, ints))
+        cells, d = A._cells, A._den
+        value = {v: Fraction(v, d) for v in set(cells)}
+        data = A.__dict__["data"] = tuple(map(value.__getitem__, cells))
         return data
 
 
@@ -210,29 +209,24 @@ class _ExactData:
 Matrix.data = _ExactData()
 
 
-def _integers(A: Matrix) -> tuple[tuple, int]:
-    """A's entries as the kernels multiply and add them, over one
-    denominator d; and d. A rational matrix's stored ints over its
-    denominator; a float one's entries as they are, d = 1."""
-    if A.scalar == RATIONAL:
-        return A._ints, A._den
-    return A.data, 1
+# A's entries as the kernels multiply and add them, over one denominator d,
+# and d: its stored cells, a rational matrix's ints or a float one's floats.
+_integers = attrgetter("_cells", "_den")
 
 
 def _result(rows: int, cols: int, cells: tuple, d: int, kind: str) -> Matrix:
-    """The matrix a kernel computed: float cells as they are, or int cells
-    over d, reduced by g = gcd(d, *cells). A fold of gcd from d sheds d's
-    factors a few cells at a time, each step a gcd of numbers as long as
-    d; so g is first sought as gcd(d, sum of the cells), a multiple of it,
-    which is 1 for most results and leaves the fold a short number if
-    not. Both read the nonzero cells only, gathered in one C-level pass."""
-    if kind != RATIONAL:
-        return Matrix._floats(rows, cols, cells)
+    """The matrix a kernel computed: its cells over d, reduced by g =
+    gcd(d, *cells); float cells are over 1, so never reduced. A fold of
+    gcd from d sheds d's factors a few cells at a time, each step a gcd
+    of numbers as long as d; so g is first sought as gcd(d, sum of the
+    cells), a multiple of it, which is 1 for most results and leaves the
+    fold a short number if not. Both read the nonzero cells only,
+    gathered in one C-level pass."""
     if d != 1:
         nonzero = list(filter(None, cells))
         if (g := gcd(d, sum(nonzero))) != 1 and (g := gcd(g, *nonzero)) != 1:
             cells, d = tuple(map(floordiv, cells, repeat(g))), d // g
-    return Matrix._exact(rows, cols, cells, d)
+    return Matrix._trusted(rows, cols, cells, d, kind)
 
 
 def _read(rows: int, cols: int, values: Sequence, kind: str) -> Matrix:
@@ -254,11 +248,11 @@ def _read(rows: int, cols: int, values: Sequence, kind: str) -> Matrix:
     elif kind == FLOAT64 and bool not in types:
         data = tuple(map(float, values))
         _check_shape(rows, cols, len(data), kind)
-        return Matrix._floats(rows, cols, data)
+        return Matrix._trusted(rows, cols, data, 1, kind)
     else:
         return Matrix(rows, cols, tuple([as_scalar(v, kind) for v in values]), kind)
     _check_shape(rows, cols, len(ints), kind)
-    return Matrix._exact(rows, cols, ints, d)
+    return Matrix._trusted(rows, cols, ints, d, kind)
 
 
 def from_rows(rows: Sequence[Sequence], scalar: str = RATIONAL) -> Matrix:
@@ -308,10 +302,8 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
 
 def scale(c, A: Matrix) -> Matrix:
     c = as_scalar(c, A.scalar)
-    if A.scalar != RATIONAL:
-        return Matrix._floats(A.rows, A.cols, tuple(c * v for v in A.data))
-    n, e = _parts(c)
-    return _result(A.rows, A.cols, tuple([n * v for v in A._ints]), A._den * e, RATIONAL)
+    n, e = _parts(c) if A.scalar == RATIONAL else (c, 1)
+    return _result(A.rows, A.cols, tuple([n * v for v in A._cells]), A._den * e, A.scalar)
 
 
 def eq_within(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:
@@ -328,4 +320,4 @@ def to_rational(A: Matrix, max_denominator: int = 10**12) -> Matrix:
     if A.scalar == RATIONAL:
         return A
     ints, d = _over_lcm([Fraction(v).limit_denominator(max_denominator) for v in A.data])
-    return Matrix._exact(A.rows, A.cols, ints, d)
+    return Matrix._trusted(A.rows, A.cols, ints, d, RATIONAL)

@@ -96,7 +96,7 @@ def _lift_and_fill(A: Matrix, fill: float) -> Matrix:
     for i in range(A.rows):
         for sl in _row_slices(i, A.rows, A.cols, 2):
             data[sl] = A.row(i)
-    return Matrix._floats(2 * A.rows, 2 * A.cols, tuple(data))
+    return Matrix._trusted(2 * A.rows, 2 * A.cols, tuple(data), 1, FLOAT64)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,7 @@ def _corners(A: Matrix, s: int) -> Matrix:
     are A's, so exact corners over A's denominator are reduced too."""
     (data, d), cols = _integers(A), A.cols
     rows = (data[i * cols : (i + 1) * cols : s] for i in range(0, A.rows, s))
-    cells = tuple(chain.from_iterable(rows))
-    if A.scalar == RATIONAL:
-        return Matrix._exact(A.rows // s, cols // s, cells, d)
-    return Matrix._floats(A.rows // s, cols // s, cells)
+    return Matrix._trusted(A.rows // s, cols // s, tuple(chain.from_iterable(rows)), d, A.scalar)
 
 
 def _root(A: Matrix, g: int, rtol: float | None = None) -> Matrix:
@@ -89,6 +86,15 @@ def try_unkron(A: Matrix, s: int, rtol: float | None = None) -> Matrix | None:
     return B if (B := _root(A, s, rtol)).rows * s == A.rows else None
 
 
+def _as_ratio(mu) -> Fraction:
+    """A ratio as the constructors store it: an int made a Fraction, any other type refused."""
+    if isinstance(mu, int) and not isinstance(mu, bool):
+        return Fraction(mu)
+    if not isinstance(mu, Fraction):
+        raise ValueError(f"ratio must be a Fraction or an int, got {mu!r}")
+    return mu
+
+
 @dataclass(frozen=True)
 class MatrixClass:
     """An equivalence class, stored by its irreducible representative.
@@ -103,10 +109,7 @@ class MatrixClass:
     rep: Matrix
 
     def __post_init__(self):
-        if isinstance(self.mu, int) and not isinstance(self.mu, bool):
-            object.__setattr__(self, "mu", Fraction(self.mu))
-        elif not isinstance(self.mu, Fraction):
-            raise ValueError(f"ratio must be a Fraction or an int, got {self.mu!r}")
+        object.__setattr__(self, "mu", _as_ratio(self.mu))
         if ratio_of(self.rep) != self.mu:
             raise ValueError(
                 f"representative shape {self.rep.shape} has ratio "

@@ -22,8 +22,8 @@ allocates only its result. Exact mode agrees bit for bit with the
 Kronecker-built definitions, which the test suite keeps as references.
 
 Every kernel reads its operands through one reader, ``matrix._integers``:
-a rational operand as its stored ints over its one denominator, a float
-one as its entries over 1. Products multiply and sum the entries read a
+the cells every matrix stores over its one denominator, a rational
+operand's ints or a float one's entries over 1. Products multiply and sum the entries read a
 lifted row at a time, over the product of the two denominators; sums
 scale each operand's ints to the lcm of the two denominators and add
 them. Exact results stay ints, reduced by one gcd with their

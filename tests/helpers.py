@@ -415,32 +415,25 @@ def counting_entries():
     yielded ``count.entries`` grows by rows * cols per ``Matrix`` built.
     A matrix is built by the checked constructor, whose dataclass
     ``__init__`` looks ``__post_init__`` up on the class, or by
-    ``Matrix._floats`` or ``Matrix._exact`` (from floats, or from ints
-    over a denominator), which the library calls through the class; so
-    wrapping all three there sees every construction."""
+    ``Matrix._trusted`` (from cells over a denominator, in either kind),
+    which the library calls through the class; so wrapping both there
+    sees every construction."""
     count = SimpleNamespace(entries=0)
-    checked = Matrix.__post_init__
-    trusted = {name: Matrix.__dict__[name] for name in ("_floats", "_exact")}
+    checked, trusted = Matrix.__post_init__, Matrix.__dict__["_trusted"]
 
     def counted(self):
         checked(self)
         count.entries += self.rows * self.cols
 
-    def counting(build):
-        def counted_build(cls, rows, cols, *entries):
-            count.entries += rows * cols
-            return build.__func__(cls, rows, cols, *entries)
-        return classmethod(counted_build)
+    def counted_trusted(cls, rows, cols, *stored):
+        count.entries += rows * cols
+        return trusted.__func__(cls, rows, cols, *stored)
 
-    Matrix.__post_init__ = counted
-    for name, build in trusted.items():
-        setattr(Matrix, name, counting(build))
+    Matrix.__post_init__, Matrix._trusted = counted, classmethod(counted_trusted)
     try:
         yield count
     finally:
-        Matrix.__post_init__ = checked
-        for name, build in trusted.items():
-            setattr(Matrix, name, build)
+        Matrix.__post_init__, Matrix._trusted = checked, trusted
 
 
 @contextmanager

@@ -14,6 +14,7 @@ import pytest
 import parity
 import semitensor as st
 from semitensor import FLOAT64, RATIONAL, BasisElement, Coordinates, Matrix, MatrixClass
+from semitensor.matrix import _integers
 
 # Every public operation whose result is a Matrix, a MatrixClass,
 # Coordinates or a list of basis elements or classes.
@@ -34,13 +35,16 @@ def check_matrix(A, seen):
     kind_type = {RATIONAL: Fraction, FLOAT64: float}[A.scalar]
     assert all(type(v) is kind_type for v in A.data), A
     seen[A.scalar] += 1
+    # the stored form the kernels read: cells over one denominator
+    assert _integers(A) == (A._cells, A._den)
     if A.scalar == FLOAT64:
+        assert A._cells is A.data and A._den == 1
         seen["nan"] += any(map(math.isnan, A.data))
         seen["inf"] += any(map(math.isinf, A.data))
         seen["-0.0"] += any(v == 0.0 and math.copysign(1.0, v) < 0 for v in A.data)
     else:
         # the stored form: ints over one positive denominator, reduced
-        ints, d = A._ints, A._den
+        ints, d = A._cells, A._den
         assert type(ints) is tuple and all(type(v) is int for v in ints)
         assert type(d) is int and d >= 1 and math.gcd(d, *ints) == 1
         assert all(v == Fraction(w, d) for v, w in zip(A.data, ints))
@@ -145,3 +149,19 @@ def test_the_public_boundary_still_refuses_bad_input():
         st.identity(2, "int64")
     with pytest.raises(ValueError, match="unknown scalar kind"):
         st.zeros(1, 1, "int64")
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
+def test_every_ratio_is_a_fraction_or_an_int(bad):
+    # one rule for the three constructors that take a ratio: a bool, a
+    # float or a string is refused up front, an int is made a Fraction
+    e = BasisElement(Fraction(1), 1, 1, 2, 1, 2)
+    makers = (lambda mu: BasisElement(mu, 1, 1, 2, 1, 2),
+              lambda mu: Coordinates(mu, {e: Fraction(1)}),
+              lambda mu: MatrixClass(mu, st.from_rows([[1]])))
+    for make in makers:
+        with pytest.raises(ValueError, match=f"ratio must be a Fraction or an int, got {bad!r}$"):
+            make(bad)
+        made = make(1)
+        assert type(made.mu) is Fraction and made.mu == 1
+    assert st.reconstruct(Coordinates(1, {e: 1})) == st.unit_class(e)

@@ -268,7 +268,7 @@ def test_rational_cells_share_one_fraction_per_distinct_value():
     # each distinct literal is read once, and data is built from the
     # stored ints, so two literals of one value share one Fraction too
     A = from_rows([["1/2", "2/4", "1/2"], [3, 3, "3"]])
-    assert (A._ints, A._den) == ((1, 1, 1, 6, 6, 6), 2)
+    assert (A._cells, A._den) == ((1, 1, 1, 6, 6, 6), 2)
     assert A.data == (Fraction(1, 2),) * 3 + (Fraction(3),) * 3
     assert A.data[0] is A.data[1] is A.data[2] and A.data[3] is A.data[4] is A.data[5]
 

@@ -324,7 +324,7 @@ def test_classes_and_coordinates_with_adversarial_denominators(case):
                 assert {e.sort_key(): c for e, c in decompose_class(x).terms.items()} \
                     == ref_coordinates(x)
                 for R in (Z, L, x.rep):
-                    assert math.gcd(R._den, *R._ints) == 1
+                    assert math.gcd(R._den, *R._cells) == 1
 
 
 # --- size budget --------------------------------------------------------

@@ -248,7 +248,7 @@ def test_slot_getters_read_the_integer_parts():
 # --- the stored form: reduced ints over one denominator -----------------
 
 def assert_stored_reduced(A):
-    ints, d = A._ints, A._den
+    ints, d = A._cells, A._den
     assert type(ints) is tuple and all(type(v) is int for v in ints)
     assert type(d) is int and d >= 1 and gcd(d, *ints) == 1
     assert A.data == tuple(Fraction(v, d) for v in ints)
@@ -280,7 +280,7 @@ def test_equal_values_have_one_stored_form(A, B):
             lminus(lplus(A, A), A), scale(2, scale(Fraction(1, 2), A)),
             rminus(kron(A, identity(1)), zeros(A.rows, A.cols)))
     for S in same:
-        assert (S._ints, S._den) == (A._ints, A._den)
+        assert (S._cells, S._den) == (A._cells, A._den)
         assert S == A and hash(S) == hash(A)
     assert (A == B) == (A.shape == B.shape and A.data == B.data)
     if A == B:
@@ -289,7 +289,7 @@ def test_equal_values_have_one_stored_form(A, B):
 
 def test_data_is_built_on_first_read_and_kept():
     A = from_rows([["1/2", 3, "2/4", 0]])
-    assert "data" not in A.__dict__ and (A._ints, A._den) == ((1, 6, 1, 0), 2)
+    assert "data" not in A.__dict__ and (A._cells, A._den) == ((1, 6, 1, 0), 2)
     data = A.data
     assert data == (Fraction(1, 2), Fraction(3), Fraction(1, 2), Fraction(0))
     assert A.data is data and data[0] is data[2]
@@ -304,7 +304,31 @@ def test_data_is_built_on_first_read_and_kept():
     assert Matrix(1, 2, entries).__dict__["data"] is entries
     with pytest.raises(AttributeError, match="no attribute 'missing'"):
         A.missing
-    assert not hasattr(F, "_ints")
+    # a float matrix's cells are its data, over the class's denominator 1
+    assert F._cells is F.data and F._den == 1 and "_den" not in F.__dict__
+
+
+@pytest.mark.parametrize("scalar, entries", [
+    (RATIONAL, (Fraction(1), Fraction(2))), (FLOAT64, (1.0, 2.0))])
+def test_the_public_constructor_keeps_no_caller_list(scalar, entries):
+    # data given as a list is stored as a tuple: a later change to the
+    # caller's list is not seen, and the matrix prints, equals and hashes
+    # as the same entries given as a tuple
+    values = list(entries)
+    A, B = Matrix(1, 2, values, scalar), Matrix(1, 2, entries, scalar)
+    values[0] = entries[1]
+    assert type(A.data) is tuple and A.data == entries and str(A) == str(B)
+    assert A == B and hash(A) == hash(B)
+
+
+def test_exact_and_float_matrices_of_equal_values_stay_apart():
+    # both kinds store their cells over one denominator, here (1, 2) over 1
+    # and (1.0, 2.0) over 1, which compare equal; the kind keeps them apart
+    exact, floats = from_rows([[1, 2]]), from_rows([[1, 2]], FLOAT64)
+    assert exact._cells == floats._cells and exact._den == floats._den == 1
+    assert exact != floats and floats != exact
+    assert hash(exact) != hash(floats)
+    assert len({exact, floats}) == 2
 
 
 def test_no_library_path_reads_an_exact_matrix_data():

@@ -161,7 +161,7 @@ def test_integers_match_the_properties():
     ints, d = _integers(A)
     assert d == lcm(*(v.denominator for v in A.data))
     assert ints == tuple(v.numerator * (d // v.denominator) for v in A.data)
-    assert ints is A._ints
+    assert ints is A._cells
     assert all(type(w) is int for w in ints)
 
 
