@@ -151,7 +151,7 @@ def decompose_unit(mu: Fraction, k: int, l: int, i: int, j1: int, j2: int) -> Co
     coprime unit is itself. Each emitted index is coprime because a gcd
     divided out of its arguments leaves 1; ``tests/test_boundary.py``
     checks every emitted element against the rules of ``BasisElement``."""
-    mu = Fraction(mu)
+    mu = _as_ratio(mu)
     p, q = mu.numerator, mu.denominator
     if not (1 <= k <= p and 1 <= l <= q and 1 <= j1 <= i and 1 <= j2 <= i):
         raise ValueError(f"indices (k={k}, l={l}, i={i}, j1={j1}, j2={j2}) out of range")
@@ -328,7 +328,7 @@ def enumerate_basis(mu: Fraction, i_max: int) -> list[BasisElement]:
     """All basis elements with i <= i_max, ordered by (i, j1, j2, k, l)."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    mu = Fraction(mu)
+    mu = _as_ratio(mu)
     if mu <= 0:
         raise ValueError(f"ratio must be positive, got {mu}")
     p, q = mu.numerator, mu.denominator

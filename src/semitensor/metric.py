@@ -80,7 +80,17 @@ def norm(x: MatrixClass) -> float:
 
 
 def dist(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> float:
-    """Norm of the canonicalized class difference: finite if the difference is."""
+    """Norm of the canonicalized class difference: finite if the difference is.
+
+    The operands are checked in the caller's order, then the class with
+    fewer rows is subtracted from the other, so that only the cells its
+    lift covers are computed. That difference is the negation of x - y,
+    bit for bit; it has the same level under every comparison and the
+    same norm."""
+    _require_same_mu(x, y)
+    _require_same_kind(x.rep, y.rep)
+    if y.rep.rows > x.rep.rows:
+        x, y = y, x
     return norm(class_sub(x, y, rtol))
 
 

@@ -10,12 +10,13 @@ says where row i of X lands in X x I_s or I_s x X, as one slice of
 each of s lifted rows (columns d, d + s, ... of row i*s + d on the
 left; columns b*n ... b*n + n - 1 of row b*m + i on the right). Sums
 and differences place each nonzero row of the first operand in its
-slices and add each of the second's into its own, one step apiece (an
-unlifted operand as one row of all its entries, s = 1; an unlifted
-second operand is read in the one pass that builds the result), and
-``basis.reconstruct`` places each basis unit's one entry by the same
-slices; the products read both lifts a lifted row at a time through
-``_lifted_rows``, which reads the same slices. The Cauchy
+slices and add each of the second's into its own, one step apiece; an
+addition puts the operand with more rows first. An unlifted first
+operand is copied whole, so only the cells of the other's lift are
+computed, and an unlifted second operand is read in the one pass that
+builds the result. ``basis.reconstruct`` places each basis unit's one
+entry by the same slices; the products read both lifts a lifted row at
+a time through ``_lifted_rows``, which reads the same slices. The Cauchy
 experiment in the metric module builds its lifts by the same rule, and
 the pairing there reads both lifts as strided row slices. Everything
 allocates only its result. Exact mode agrees bit for bit with the
@@ -145,13 +146,15 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
     """Sum of two same-ratio matrices, each lifted to the lcm of the row counts.
 
     If ``subtract``, B is subtracted instead, so a difference builds no
-    negated copy. Both operands are read by ``_integers``, exact ones
-    scaled to the lcm of their denominators. Each nonzero row of A is
-    placed in the slices of the result it lifts to (they never overlap),
-    then each nonzero row of B is added into its slices, one slice at a
-    time. An operand of t rows is not lifted, and goes in as one row of
-    all its entries, one slice; an unlifted B ends the sum, the result
-    built in one pass over the placed A and B's entries.
+    negated copy; an addition makes the operand with more rows A
+    (integer and IEEE addition commute bit for bit), so the cells of
+    the larger lift are copied and only the other's are added. Both
+    operands are read by ``_integers``, exact ones scaled to the lcm of
+    their denominators. An operand of t rows is not lifted: as A, a copy
+    of its entries starts the sum; as B, it ends it, the result built in
+    one pass over the placed A and B's entries. A lifted A's nonzero rows
+    are placed in the slices of the result they lift to (they never
+    overlap); a lifted B's are added into theirs, one slice at a time.
 
     Float mode places a row of A with no zero as it is and rewrites each
     zero of any other as 0.0 (0.0 + a is a with -0.0 made 0.0), so a
@@ -160,6 +163,8 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
     """
     _require_same_ratio(A, B)
     _require_same_kind(A, B)
+    if B.rows > A.rows and not subtract:
+        A, B = B, A
     t = lcm(A.rows, B.rows)
     cols = t * A.cols // A.rows
     _check_budget(t, cols)
@@ -172,18 +177,23 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
     exact = A.scalar == RATIONAL
     zero = 0 if exact else 0.0
     plus = operator.sub if subtract else operator.add
-    acc = [zero] * (t * cols)
+    if A.rows == t:
+        acc = list(a) if exact or all(a) else [v or zero for v in a]
+    else:
+        acc = [zero] * (t * cols)
     for n, (X, x) in enumerate(((A, a), (B, b))):
-        rows, width = (1, t * cols) if X.rows == t else X.shape
-        for i in range(rows):
+        if X.rows == t:
+            if n:
+                return _result(t, cols, tuple(map(plus, acc, x)), d, A.scalar)
+            continue
+        m, width = X.shape
+        for i in range(m):
             row = x[i * width : (i + 1) * width]
             if not any(row):
                 continue
             if not (n or exact or all(row)):
                 row = [v or zero for v in row]
-            if n and X.rows == t:
-                return _result(t, cols, tuple(map(plus, acc, row)), d, A.scalar)
-            for sl in _row_slices(i, rows, width, t // X.rows, right):
+            for sl in _row_slices(i, m, width, t // m, right):
                 acc[sl] = map(plus, acc[sl], row) if n else row
     return _result(t, cols, tuple(acc), d, A.scalar)
 

@@ -153,12 +153,15 @@ def test_the_public_boundary_still_refuses_bad_input():
 
 @pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=["bool", "float", "str", "none"])
 def test_every_ratio_is_a_fraction_or_an_int(bad):
-    # one rule for the three constructors that take a ratio: a bool, a
-    # float or a string is refused up front, an int is made a Fraction
+    # one rule for the three constructors and the two basis builders that
+    # take a ratio: a bool, a float or a string is refused up front, an int
+    # is made a Fraction
     e = BasisElement(Fraction(1), 1, 1, 2, 1, 2)
     makers = (lambda mu: BasisElement(mu, 1, 1, 2, 1, 2),
               lambda mu: Coordinates(mu, {e: Fraction(1)}),
-              lambda mu: MatrixClass(mu, st.from_rows([[1]])))
+              lambda mu: MatrixClass(mu, st.from_rows([[1]])),
+              lambda mu: st.enumerate_basis(mu, 1)[0],
+              lambda mu: st.decompose_unit(mu, 1, 1, 2, 1, 2))
     for make in makers:
         with pytest.raises(ValueError, match=f"ratio must be a Fraction or an int, got {bad!r}$"):
             make(bad)

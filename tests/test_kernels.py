@@ -413,6 +413,15 @@ def float_sum_pairs(draw):
 
 
 @given(float_sum_pairs())
+def test_float_additions_commute_bit_for_bit(pair):
+    # An addition puts the operand with more rows first; IEEE addition
+    # commutes, so swapping the operands changes no cell.
+    A, B = pair
+    for op in (lplus, rplus):
+        assert list(map(repr, op(A, B).data)) == list(map(repr, op(B, A).data)), op.__name__
+
+
+@given(float_sum_pairs())
 def test_float_sums_match_references_but_never_return_negative_zero(pair):
     # A cell of the lifted sum is the reference's cell, except that where
     # the reference adds zeros to -0.0 the library returns 0.0.
@@ -467,6 +476,28 @@ def test_float_difference_with_an_unlifted_operand_copies_no_entries(a):
     cells = len(out.data)
     own = getsizeof(out.data) + sum(map(getsizeof, out.data))
     assert peak < 1.1 * (own + struct.calcsize("P") * cells)
+
+
+def test_float_sum_and_distance_with_a_lifted_operand_build_only_its_cells():
+    # 1 x 1 and 128 x 128, in either order: the 128 x 128 goes in first, by
+    # reference, and only the 128 cells the lifted 1 x 1 covers are added,
+    # so the peak is the result's tuple of pointers, one list of pointers
+    # and those 128 new floats, and no float per cell of the 128 x 128.
+    rng = random.Random(127)
+    A, B = _rand_float(rng, 1, 1), _rand_float(rng, 128, 128)
+    x, y = canonicalize(A, rtol=0.0), canonicalize(B, rtol=0.0)
+    cells = 128 * 128
+    bound = (getsizeof(tuple(range(cells))) + getsizeof(list(range(cells)))
+             + 128 * getsizeof(1.0))
+    for name, call in (("lplus", lambda: lplus(A, B)), ("dist", lambda: dist(x, y, rtol=0.0))):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, name
 
 
 def test_float_sums_with_nonfinite_cells():

@@ -11,10 +11,12 @@ from helpers import as_matrix, rand_matrix, ref_delta_n, ref_norm
 from semitensor import (
     CauchyConfig,
     FLOAT64,
+    RATIONAL,
     Matrix,
     canonicalize,
     cauchy_sequence,
     class_add,
+    class_sub,
     dist,
     fill_value,
     from_rows,
@@ -110,6 +112,49 @@ def test_dist_examples():
     one = canonicalize(as_matrix([[1]]))
     assert dist(d23, d23) == 0.0
     assert dist(d23, one) == math.sqrt(5)
+
+
+# nested and coprime pairs of sizes, t = lcm up to 64
+DIST_SIZES = [(1, 1), (1, 2), (2, 4), (1, 64), (4, 32), (16, 64), (2, 3), (3, 4), (4, 9), (7, 8)]
+
+
+@pytest.mark.parametrize("m, n", DIST_SIZES, ids=[f"{m}x{n}" for m, n in DIST_SIZES])
+@pytest.mark.parametrize("rtol", [0.0, None], ids=["rtol0", "default_rtol"])
+def test_dist_in_either_order_is_the_norm_of_either_difference(m, n, rtol):
+    # dist subtracts toward the class with more rows; the difference the
+    # other way is its negation, with the same level and the same norm,
+    # so both orders give the caller-order difference's norm bit for bit.
+    rng = random.Random(131 * m + n)
+    pool = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0)
+    for trial in range(12):
+        special = trial % 3
+        def entry():
+            if special and rng.random() < 0.15 * special:
+                return rng.choice(pool)
+            return rng.uniform(-2, 2) * (rng.random() < 0.8)
+        x, y = (canonicalize(from_rows([[entry() for _ in range(k)] for _ in range(k)], FLOAT64),
+                             rtol=0.0) for k in (m, n))
+        want = repr(norm(class_sub(x, y, rtol)))
+        assert repr(norm(class_sub(y, x, rtol))) == want
+        assert repr(dist(x, y, rtol)) == want
+        assert repr(dist(y, x, rtol)) == want
+
+
+def test_dist_checks_its_operands_in_the_callers_order():
+    one = canonicalize(as_matrix([[1]]))
+    half = canonicalize(as_matrix([[1, 2, 0, 0], [0, 3, 0, 1]]))
+    assert half.rep.rows > one.rep.rows
+    with pytest.raises(ValueError, match="^classes live in different spaces: 1 vs 1/2$"):
+        dist(one, half)
+    with pytest.raises(ValueError, match="^classes live in different spaces: 1/2 vs 1$"):
+        dist(half, one)
+    f = canonicalize(from_rows([[1.0]], FLOAT64))
+    r = canonicalize(as_matrix([[1, 2], [3, 4]]))
+    assert r.scalar == RATIONAL and r.rep.rows > f.rep.rows
+    with pytest.raises(ValueError, match="^scalar kinds differ: float64 vs rational$"):
+        dist(f, r)
+    with pytest.raises(ValueError, match="^scalar kinds differ: rational vs float64$"):
+        dist(r, f)
 
 
 def test_pinned_inner_additivity_failure():
