@@ -7,18 +7,23 @@ the gcd of the denominator and all the ints is 1, so one value has one
 stored form. The public ``data``, a tuple of ``Fraction``s, is built on
 its first read, one ``Fraction`` per distinct value, and kept. Float
 mode stores binary64 entries over 1, which are also its ``data``, and
-all tolerant comparisons go through a relative tolerance with an
-absolute floor. Every value is immutable, every operation is a
-pure function. Every constructor that sizes its result from its
-arguments (``zeros``, ``identity``, ``kron``) checks it against one size
-budget, ``_MAX_ENTRIES``, before anything is allocated.
+every zero as 0.0, never -0.0 (``_stored``), so one value has one
+stored form there too; all tolerant comparisons go through a relative
+tolerance with an absolute floor. Every value is immutable, every
+operation is a pure function. Every constructor that sizes its result
+from its arguments (``zeros``, ``identity``, ``kron``) checks it against
+one size budget, ``_MAX_ENTRIES``, before anything is allocated.
 
 Entries are checked once, at the boundary: the public ``Matrix(...)``
 (and so ``dataclasses.replace``), ``from_rows`` and ``io``'s readers
-check the shape, the kind and the type of every entry. A matrix the
-library builds from entries of matrices already checked, or from
-arguments it has checked itself, is made by ``Matrix._trusted``, which
-runs no check again, or by ``_result``, which reduces exact ints first.
+check the shape, the kind and the type of every entry, and store a
+float -0.0 as 0.0, as ``scale`` and ``kron`` store the -0.0 that a
+negative value times 0.0, or an underflow, makes. No kernel can then
+make one: products start every cell at 0.0, a + b is -0.0 only if both
+are, and a - b only if a is. A matrix the library builds from entries
+of matrices already checked, or from arguments it has checked itself,
+is made by ``Matrix._trusted``, which runs no check again, or by
+``_result``, which reduces exact ints first.
 """
 
 from __future__ import annotations
@@ -103,6 +108,15 @@ def _check_shape(rows: int, cols: int, length: int, scalar: str) -> type:
     return kind_type
 
 
+def _stored(cells, kind: str) -> tuple:
+    # cells as a tuple in the one stored form of their values: a float
+    # -0.0 is stored as 0.0, which it equals, so no kernel can make one.
+    cells = tuple(cells)
+    if kind == RATIONAL or all(cells):
+        return cells
+    return tuple([v or 0.0 for v in cells])
+
+
 def _over_lcm(values) -> tuple[tuple, int]:
     # Fractions as ints over d, the lcm of their denominators, and d: the
     # reduced stored form, since an entry whose denominator holds the
@@ -119,7 +133,8 @@ class Matrix:
     The constructor checks that the shape is positive, that ``data`` holds
     rows * cols entries and that each is of the kind's type (``Fraction``
     or ``float``), stores ``data`` as a tuple, and stores a rational
-    matrix's ints over their lcm, a float one's entries over 1.
+    matrix's ints over their lcm, a float one's entries over 1, with
+    -0.0 stored as 0.0.
     ``_trusted`` builds a value with no check. An exact matrix it builds
     gets its ``data`` on first read (``_ExactData``).
     """
@@ -139,7 +154,7 @@ class Matrix:
         if self.scalar == RATIONAL:
             self.__dict__["_cells"], self.__dict__["_den"] = _over_lcm(data)
         else:
-            self.__dict__["_cells"] = data
+            self.__dict__["data"] = self.__dict__["_cells"] = _stored(data, self.scalar)
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, cells: tuple, d: int, scalar: str) -> Matrix:
@@ -246,7 +261,7 @@ def _read(rows: int, cols: int, values: Sequence, kind: str) -> Matrix:
         distinct, d = _over_lcm([Fraction(v) for v in literals])
         ints = tuple(map(dict(zip(literals, distinct)).__getitem__, values))
     elif kind == FLOAT64 and bool not in types:
-        data = tuple(map(float, values))
+        data = _stored(map(float, values), kind)
         _check_shape(rows, cols, len(data), kind)
         return Matrix._trusted(rows, cols, data, 1, kind)
     else:
@@ -297,13 +312,13 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
             for r in range(p):
                 base = (i * p + r) * ocols + j * q
                 out[base : base + q] = [v * w for w in b[r * q : (r + 1) * q]]
-    return _result(m * p, n * q, tuple(out), da * db, A.scalar)
+    return _result(m * p, n * q, _stored(out, A.scalar), da * db, A.scalar)
 
 
 def scale(c, A: Matrix) -> Matrix:
     c = as_scalar(c, A.scalar)
     n, e = _parts(c) if A.scalar == RATIONAL else (c, 1)
-    return _result(A.rows, A.cols, tuple([n * v for v in A._cells]), A._den * e, A.scalar)
+    return _result(A.rows, A.cols, _stored([n * v for v in A._cells], A.scalar), A._den * e, A.scalar)
 
 
 def eq_within(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:

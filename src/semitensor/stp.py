@@ -10,11 +10,14 @@ says where row i of X lands in X x I_s or I_s x X, as one slice of
 each of s lifted rows (columns d, d + s, ... of row i*s + d on the
 left; columns b*n ... b*n + n - 1 of row b*m + i on the right). Sums
 and differences place each nonzero row of the first operand in its
-slices and add each of the second's into its own, one step apiece; an
-addition puts the operand with more rows first. An unlifted first
-operand is copied whole, so only the cells of the other's lift are
-computed, and an unlifted second operand is read in the one pass that
-builds the result. ``basis.reconstruct`` places each basis unit's one
+slices and add each of the second's into its own, one step apiece, or,
+where the second's lift is wider than its row, each nonzero entry into
+the one strided slice of the s cells it lifts to; an addition puts the
+operand with more rows first. An unlifted first operand is copied
+whole, so only the cells of the other's lift are computed, and an
+unlifted second operand is read in the one pass that builds the result.
+No float operand holds -0.0 (one value has one stored form), so no sum
+rewrites a zero. ``basis.reconstruct`` places each basis unit's one
 entry by the same slices; the products read both lifts a lifted row at
 a time through ``_lifted_rows``, which reads the same slices. The Cauchy
 experiment in the metric module builds its lifts by the same rule, and
@@ -154,12 +157,11 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
     of its entries starts the sum; as B, it ends it, the result built in
     one pass over the placed A and B's entries. A lifted A's nonzero rows
     are placed in the slices of the result they lift to (they never
-    overlap); a lifted B's are added into theirs, one slice at a time.
-
-    Float mode places a row of A with no zero as it is and rewrites each
-    zero of any other as 0.0 (0.0 + a is a with -0.0 made 0.0), so a
-    cell holds 0.0 where the sum of the full lifts has -0.0, and a ±0.0
-    entry of B changes no cell.
+    overlap); a lifted B's are added into theirs, one slice at a time,
+    or, where B's lift factor s exceeds its row width, each nonzero entry
+    into its own: the s cells it lifts to are one strided slice, a
+    diagonal of X x I_s or one cell of each of I_s x X's diagonal blocks.
+    No float matrix holds -0.0 (``matrix._stored``), and no sum makes one.
     """
     _require_same_ratio(A, B)
     _require_same_kind(A, B)
@@ -174,27 +176,31 @@ def _sum_lifts(A: Matrix, B: Matrix, right: bool = False, subtract: bool = False
         a = tuple(map(operator.mul, a, repeat(d // da)))
     if db != d:
         b = tuple(map(operator.mul, b, repeat(d // db)))
-    exact = A.scalar == RATIONAL
-    zero = 0 if exact else 0.0
     plus = operator.sub if subtract else operator.add
-    if A.rows == t:
-        acc = list(a) if exact or all(a) else [v or zero for v in a]
-    else:
-        acc = [zero] * (t * cols)
+    acc = list(a) if A.rows == t else [0 if A.scalar == RATIONAL else 0.0] * (t * cols)
     for n, (X, x) in enumerate(((A, a), (B, b))):
         if X.rows == t:
             if n:
                 return _result(t, cols, tuple(map(plus, acc, x)), d, A.scalar)
             continue
         m, width = X.shape
+        s = t // m
+        if n and s > width:
+            # Entry (i, j) lands at i*s*cols + j*s + e*(cols + 1) on the
+            # left and at i*cols + j + e*(m*cols + width) on the right, e < s.
+            step = m * cols + width if right else cols + 1
+            for k, v in enumerate(x):
+                if v:
+                    i, j = divmod(k, width)
+                    start = i * cols + j if right else (i * cols + j) * s
+                    sl = slice(start, start + s * step, step)
+                    acc[sl] = map(plus, acc[sl], repeat(v, s))
+            continue
         for i in range(m):
             row = x[i * width : (i + 1) * width]
-            if not any(row):
-                continue
-            if not (n or exact or all(row)):
-                row = [v or zero for v in row]
-            for sl in _row_slices(i, m, width, t // m, right):
-                acc[sl] = map(plus, acc[sl], row) if n else row
+            if any(row):
+                for sl in _row_slices(i, m, width, s, right):
+                    acc[sl] = map(plus, acc[sl], row) if n else row
     return _result(t, cols, tuple(acc), d, A.scalar)
 
 

@@ -19,6 +19,9 @@ from helpers import (
     counting_entries,
     lift,
     matmul,
+    o_lplus,
+    o_neg,
+    o_rplus,
     rand_matrix,
     ref_canonicalize,
     ref_coordinates,
@@ -33,8 +36,10 @@ from helpers import (
 )
 
 import semitensor.matrix
+import semitensor.stp
 from semitensor import (
     FLOAT64,
+    RATIONAL,
     Matrix,
     MatrixClass,
     canonicalize,
@@ -437,8 +442,13 @@ def test_float_sums_match_references_but_never_return_negative_zero(pair):
 
 def _signed_zeros(n, zero, nonzero):
     # n x n zeros but for a nonzero on the diagonal of every row but the last
-    return from_rows([[nonzero if j == i < n - 1 else zero for j in range(n)]
-                      for i in range(n)], FLOAT64)
+    return [[nonzero if j == i < n - 1 else zero for j in range(n)] for i in range(n)]
+
+
+# The nested-list oracle's sums, which keep a literal -0.0 where a Matrix cannot.
+ORACLE_SUMS = ((lplus, o_lplus), (rplus, o_rplus),
+               (lminus, lambda A, B: o_lplus(A, o_neg(B))),
+               (rminus, lambda A, B: o_rplus(A, o_neg(B))))
 
 
 @pytest.mark.parametrize("m, p", [(2, 2), (2, 4), (4, 2), (2, 3)],
@@ -446,17 +456,56 @@ def _signed_zeros(n, zero, nonzero):
 @pytest.mark.parametrize("b_nonzero", [2.0, None], ids=["second_nonzero", "second_all_zero"])
 def test_float_sums_never_return_negative_zero_on_any_layout(m, p, b_nonzero):
     # A's -0.0 faces B's +0.0 in a difference and B's -0.0 in a sum, where
-    # the full lifts make -0.0; every such cell must come back as +0.0.
-    A = _signed_zeros(m, -0.0, 1.0)
-    for op, ref in SUMS:
+    # the oracle's full lifts of the literal lists make -0.0; every such
+    # cell must come back as +0.0.
+    a = _signed_zeros(m, -0.0, 1.0)
+    for op, ref in ORACLE_SUMS:
         zero = 0.0 if op in (lminus, rminus) else -0.0
-        B = _signed_zeros(p, zero, b_nonzero or zero)
-        got, want = op(A, B), ref(A, B)
-        assert "-0.0" in map(repr, want.data), op.__name__
-        assert [repr(v) for v in got.data] == [
-            "0.0" if r == "-0.0" else r for r in map(repr, want.data)
-        ], op.__name__
+        b = _signed_zeros(p, zero, b_nonzero or zero)
+        got = op(from_rows(a, FLOAT64), from_rows(b, FLOAT64))
+        want = [repr(v) for row in ref(a, b) for v in row]
+        assert "-0.0" in want, op.__name__
+        assert [repr(v) for v in got.data] == ["0.0" if r == "-0.0" else r for r in want], op.__name__
         assert all(math.copysign(1.0, v) == 1.0 for v in got.data if v == 0), op.__name__
+
+
+# Layouts where the second operand's lift factor exceeds its row width, so
+# each of its nonzero entries is added as one strided slice: 1 x 1 lifted
+# by 5, 1 x 2 by 3, and 2 x 2 by 3 against a 3 x 3 lifted by 2.
+ENTRY_LAYOUTS = [((1, 1), (5, 5)), ((1, 2), (3, 6)), ((2, 2), (3, 3))]
+ENTRY_POOLS = {
+    RATIONAL: (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(5, 97)),
+    FLOAT64: (0.0, 1.5, -2.25, 1e-300, math.inf, -math.inf, math.nan),
+}
+
+
+@pytest.mark.parametrize("small, large", ENTRY_LAYOUTS, ids=["1x1_5x5", "1x2_3x6", "2x2_3x3"])
+@pytest.mark.parametrize("kind", [RATIONAL, FLOAT64])
+def test_sums_add_a_wide_lift_entry_by_entry_as_the_references(small, large, kind):
+    rng = random.Random(151)
+    pool = ENTRY_POOLS[kind]
+    for _ in range(20):
+        A, B = (Matrix(r, c, tuple(rng.choice(pool) for _ in range(r * c)), kind)
+                for r, c in (small, large))
+        for X, Y in ((A, B), (B, A)):
+            for op, ref in SUMS:
+                got, want = op(X, Y), ref(X, Y)
+                assert got.shape == want.shape
+                assert list(map(repr, got.data)) == list(map(repr, want.data)), op.__name__
+
+
+def test_float_difference_with_a_wide_lift_places_no_rows(monkeypatch):
+    # 128 x 128 - 1 x 1: the 1 x 1 lifts by 128 over a row of width 1, so
+    # its one entry is added as one strided slice, the diagonal, and no
+    # lifted row is placed
+    calls = []
+    row_slices = semitensor.stp._row_slices
+    monkeypatch.setattr(semitensor.stp, "_row_slices", lambda *a: calls.append(a) or row_slices(*a))
+    rng = random.Random(157)
+    A, B = _rand_float(rng, 128, 128), _rand_float(rng, 1, 1)
+    for op, ref in ((lminus, ref_lminus), (rminus, ref_rminus)):
+        assert op(A, B) == ref(A, B), op.__name__
+    assert calls == []
 
 
 @pytest.mark.parametrize("a", [1, 64])

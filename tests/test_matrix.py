@@ -1,8 +1,9 @@
 """Matrix core: Kronecker product, comparisons, conversions; and the plain
 arithmetic and pairing in tests/helpers.py that the references rest on."""
 
+import dataclasses
 from fractions import Fraction
-from math import gcd
+from math import copysign, gcd, inf, nan
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,9 @@ from semitensor import (
     to_rational,
     zeros,
 )
-from semitensor.io import class_to_dict, matrix_to_csv, matrix_to_dict
+from semitensor.io import (
+    class_to_dict, matrix_from_csv, matrix_from_dict, matrix_to_csv, matrix_to_dict,
+)
 from semitensor.matrix import _denominator, _numerator, _parts, as_scalar
 
 
@@ -129,7 +132,7 @@ def test_frobenius_symmetric_bilinear(A, B, C):
 
 def test_str_lists_the_rows():
     assert str(from_rows([[1, "1/2"], [3, -4]])) == "[1 1/2; 3 -4]"
-    assert str(from_rows([[1.5, -0.0]], FLOAT64)) == "[1.5 -0.0]"
+    assert str(from_rows([[1.5, -0.0]], FLOAT64)) == "[1.5 0.0]"
 
 
 def test_eq_within():
@@ -319,6 +322,38 @@ def test_the_public_constructor_keeps_no_caller_list(scalar, entries):
     values[0] = entries[1]
     assert type(A.data) is tuple and A.data == entries and str(A) == str(B)
     assert A == B and hash(A) == hash(B)
+
+
+def _negative_zeros(A):
+    return [v for v in A.data if v == 0.0 and copysign(1.0, v) < 0]
+
+
+def test_no_float_matrix_stores_negative_zero():
+    # one float zero: every way to build a float matrix stores -0.0 as
+    # 0.0, so no kernel meets one; == and hash are those of -0.0 already
+    F = from_rows([[1.5, 2.0]], FLOAT64)
+    built = {
+        "Matrix": Matrix(1, 3, (-0.0, 1.5, -0.0), FLOAT64),
+        "replace": dataclasses.replace(F, data=(-0.0, 2.0)),
+        "from_rows": from_rows([[-0.0, "-0.0"], [nan, -inf]], FLOAT64),
+        "matrix_from_dict": matrix_from_dict(
+            {"rows": 1, "cols": 3, "scalar": FLOAT64, "data": [-0.0, "-0.0", "-0"]}),
+        "matrix_from_csv": matrix_from_csv("-0.0,1\n-0,-1e-400\n", FLOAT64),
+        # a negative value times 0.0, and an underflow of opposite signs
+        "scale of a zero": scale(-1.0, zeros(2, 2, FLOAT64)),
+        "scale underflow": scale(-1e-300, from_rows([[1e-300, 0.0]], FLOAT64)),
+        "kron": kron(from_rows([[-2.0, 1.0]], FLOAT64), from_rows([[0.0, -1e-300]], FLOAT64)),
+        "kron underflow": kron(from_rows([[-1e-300]], FLOAT64), from_rows([[1e-300]], FLOAT64)),
+    }
+    for name, A in built.items():
+        assert not _negative_zeros(A), name
+        assert A._cells is A.data and 0.0 in A.data, name
+    assert built["Matrix"] == Matrix(1, 3, (0.0, 1.5, 0.0), FLOAT64)
+    assert hash(built["Matrix"]) == hash(Matrix(1, 3, (0.0, 1.5, 0.0), FLOAT64))
+    assert str(built["kron"]) == "[0.0 2e-300 0.0 -1e-300]"
+    # with no zero among them the given entries are stored as they are
+    entries = (1.5, -2.0, nan)
+    assert Matrix(1, 3, entries, FLOAT64).data is entries
 
 
 def test_exact_and_float_matrices_of_equal_values_stay_apart():
