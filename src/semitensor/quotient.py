@@ -18,7 +18,7 @@ from math import gcd
 from operator import eq
 
 from .matrix import (
-    FLOAT64, RATIONAL, Matrix, _integers, _parts, eq_within, scalar_eq, scale, zeros,
+    FLOAT64, RATIONAL, Matrix, _integers, eq_within, scalar_eq, scale, zeros,
 )
 from .stp import _commutator, lminus, lplus, ltimes, ratio_of
 
@@ -142,12 +142,7 @@ def canonicalize(A: Matrix, rtol: float | None = None) -> MatrixClass:
     where the representative is unique, and under a float tolerance alike;
     the representative is A's block corners.
     """
-    return _class_of(A, ratio_of(A), rtol)
-
-
-def _class_of(A: Matrix, mu: Fraction, rtol: float | None) -> MatrixClass:
-    # canonicalize(A, rtol), whose ratio the caller knows to be mu.
-    return MatrixClass._trusted(mu, _root(A, gcd(A.rows, A.cols), rtol))
+    return MatrixClass._trusted(ratio_of(A), _root(A, gcd(A.rows, A.cols), rtol))
 
 
 def equivalent(A: Matrix, B: Matrix, rtol: float | None = None) -> bool:
@@ -164,19 +159,18 @@ def zero_class(mu: Fraction, scalar: str = RATIONAL) -> MatrixClass:
 
 
 def _require_same_mu(x: MatrixClass, y: MatrixClass) -> None:
-    # Stored ratios are reduced Fractions: equal iff their integer parts are.
-    if _parts(x.mu) != _parts(y.mu):
+    if x.mu != y.mu:
         raise ValueError(f"classes live in different spaces: {x.mu} vs {y.mu}")
 
 
 def class_add(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> MatrixClass:
     _require_same_mu(x, y)
-    return _class_of(lplus(x.rep, y.rep), x.mu, rtol)
+    return canonicalize(lplus(x.rep, y.rep), rtol)
 
 
 def class_sub(x: MatrixClass, y: MatrixClass, rtol: float | None = None) -> MatrixClass:
     _require_same_mu(x, y)
-    return _class_of(lminus(x.rep, y.rep), x.mu, rtol)
+    return canonicalize(lminus(x.rep, y.rep), rtol)
 
 
 def scalar_mul(c, x: MatrixClass, rtol: float | None = None) -> MatrixClass:

@@ -4,10 +4,10 @@
 
 Runs the benchmark's own command (``BENCHMARK.json``'s ``command``, in the
 change's checkout) unchanged in each checkout, as
-``... --workload W --seed S --seconds T --trace 0``, one workload after
+``... --workload W --seed 2 --seconds 25 --trace 0``, one workload after
 another, in pairs whose first side alternates: pair 0 runs the parent
 first, pair 1 the change, and so on. ``cauchy_float`` gets 10 pairs and
-every other workload 5, unless ``--workload`` names some to run alone.
+every other workload 5.
 
 The file holds every run (its checkout, pair, order and the result line
 ``run.py`` printed), then, per workload and end-to-end metric, each
@@ -31,6 +31,7 @@ import sys
 from statistics import median, quantiles
 
 PAIRS = {"algebra_exact": 5, "basis_exact": 5, "cauchy_float": 10, "cli_small": 5}
+SEED, SECONDS = 2, 25
 SIDES = ("parent", "change")
 
 
@@ -43,8 +44,8 @@ def head(tree: str) -> dict:
     return {"commit": rev("HEAD"), "src": rev("HEAD:src")}
 
 
-def run(tree: str, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+def run(tree: str, command: list[str], workload: str) -> dict:
+    args = [*command, "--workload", workload, "--seed", str(SEED), "--seconds", str(SECONDS),
             "--trace", "0"]
     proc = subprocess.run(args, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -85,10 +86,6 @@ def main(argv=None) -> int:
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--seed", type=int, default=2)
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--workload", action="append", choices=sorted(PAIRS),
-                    help="run only this workload (repeatable)")
     args = ap.parse_args(argv)
     trees = dict(zip(SIDES, map(os.path.abspath, (args.parent, args.change))))
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
@@ -97,14 +94,14 @@ def main(argv=None) -> int:
     version = subprocess.run([command[0], "-c", "import sys; print(sys.version)"],
                              capture_output=True, text=True, check=True).stdout.strip()
     doc = {
-        "command": command, "seed": args.seed, "seconds": args.seconds, "python": version,
+        "command": command, "seed": SEED, "seconds": SECONDS, "python": version,
         "heads": {side: head(tree) for side, tree in trees.items()},
         "runs": [], "summary": {},
     }
-    for workload in args.workload or PAIRS:
+    for workload in PAIRS:
         for pair in range(PAIRS[workload]):
             for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
-                result = run(trees[side], command, workload, args.seed, args.seconds)
+                result = run(trees[side], command, workload)
                 doc["runs"].append({"workload": workload, "pair": pair, "side": side,
                                     "order": order, "result": result})
                 doc["summary"] = summary(doc["runs"], bench["end_to_end"])
